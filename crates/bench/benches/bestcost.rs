@@ -8,7 +8,7 @@
 use mqo_bench::timing::{bench_id, BenchGroup};
 use mqo_core::batch::BatchDag;
 use mqo_core::benefit::MbFunction;
-use mqo_core::engine::{BestCostEngine, MqoConfig};
+use mqo_core::engine::BestCostEngine;
 use mqo_submod::algorithms::greedy::{greedy, Config as GreedyConfig};
 use mqo_submod::bitset::BitSet;
 use mqo_submod::function::SetFunction;
@@ -44,15 +44,15 @@ fn bench_engine_compile() {
         let w = mqo_tpcd::batched(i, 1.0);
         let batch = BatchDag::build(w.ctx, &w.queries, &RuleSet::default());
         let cm = DiskCostModel::paper();
-        // Fresh: every compile rebuilds the TopoView and its own scratch.
+        // Fresh: every compile rebuilds the TopoView.
         group.bench(bench_id("fresh", format!("BQ{i}")), || {
             BestCostEngine::new(batch.memo(), &cm, batch.root(), batch.shareable())
         });
-        // Cached: recompiles through the batch's shared CompileCache — the
-        // arena-reuse path every `OptimizedBatch::run` takes (the TopoView
-        // is computed once and all compile scratch buffers are recycled).
-        group.bench(bench_id("cached", format!("BQ{i}")), || {
-            batch.compile_engine(&cm, MqoConfig::default())
+        // Snapshot: compiles the immutable `EngineState` the way
+        // `OptimizedBatch::snapshot` does on a cache miss — the batch's
+        // TopoView is computed once and shared by `Arc`.
+        group.bench(bench_id("snapshot", format!("BQ{i}")), || {
+            batch.compile_state(&cm)
         });
     }
     group.finish();

@@ -146,7 +146,7 @@ fn bench_extract(samples: usize) -> Vec<ExtractResult> {
         let session = build(i);
         let threads = session.config().threads;
         for s in [Strategy::Greedy, Strategy::MarginalGreedy] {
-            // Warmup run (also sizes the compile cache).
+            // Warmup run (also compiles the cached snapshot).
             let mut report = session.run(s);
             let mut best = report.extract_time;
             for _ in 0..samples {

@@ -98,7 +98,7 @@ struct ServeResult {
 fn bench_threads(threads: usize, samples: usize, results: &mut Vec<ServeResult>) {
     let (batch, extra) = build_base(threads);
     let service = batch.serve();
-    // Warm cycle: faults in the compile cache, arenas, and allocator.
+    // Warm cycle: faults in the snapshot cache, arenas, and allocator.
     let t = service.submit_query(extra.clone());
     service.retire_query(t);
 

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use mqo_volcano::cost::CostModel;
 use mqo_volcano::logical::LogicalOp;
@@ -34,7 +34,7 @@ use mqo_volcano::rules::{expand_seeded, expand_with, ExpansionStats, RuleSet};
 use mqo_volcano::{DagContext, PlanNode};
 
 use crate::config::MqoConfig;
-use crate::engine::{BestCostEngine, CompileCache, EngineArenas, EngineState};
+use crate::engine::{EngineArenas, EngineState};
 use crate::error::MqoError;
 use crate::fault::{self, FaultSite};
 
@@ -110,7 +110,7 @@ pub struct BatchDag {
     /// expressions; kept incrementally from evolution deltas.
     refs: Vec<u32>,
     /// Bumped whenever the universe changes shape across an evolution
-    /// commit; consumers (memoized oracles) invalidate on it.
+    /// commit.
     universe_epoch: u64,
     /// Cumulative expansion statistics (initial build plus evolutions).
     expansion: ExpansionStats,
@@ -118,9 +118,6 @@ pub struct BatchDag {
     /// evolution commits swap in a fresh cell, so engines holding the old
     /// `Arc` keep a consistent snapshot.
     topo: OnceLock<Arc<TopoView>>,
-    /// Reusable engine-compilation state shared by every
-    /// [`BatchDag::compile_engine`] call on this batch.
-    engine_cache: Mutex<CompileCache>,
     /// Process-unique batch identity, stamped into every
     /// [`BatchSavepoint`] so [`BatchDag::try_rollback_with_threads`] can
     /// reject savepoints from a different batch as
@@ -195,7 +192,6 @@ impl BatchDag {
             next_ticket: queries.len() as u32,
             expansion,
             topo: OnceLock::new(),
-            engine_cache: Mutex::new(CompileCache::new()),
             uid: NEXT_BATCH_UID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -234,8 +230,9 @@ impl BatchDag {
         }
     }
 
-    /// Bumped whenever an evolution commit changes the universe; memoized
-    /// oracle layers invalidate on it.
+    /// Bumped whenever an evolution commit changes the universe, so a
+    /// holder of universe-indexed state (element bitsets, per-element
+    /// values) can tell that its element numbering may have moved.
     pub fn universe_epoch(&self) -> u64 {
         self.universe_epoch
     }
@@ -308,8 +305,9 @@ impl BatchDag {
 
     /// The dense topological view of the expanded memo, computed once and
     /// shared by every consumer (engine compilation, plan extraction,
-    /// diagnostics). Safe to cache without revalidation: the memo is
-    /// frozen behind `&self` accessors after construction.
+    /// diagnostics). Safe to cache without revalidation: the memo changes
+    /// only through `&mut self` evolution commits, and each of them swaps
+    /// in a fresh cell.
     pub fn topo_view(&self) -> &TopoView {
         self.topo_arc()
     }
@@ -320,62 +318,24 @@ impl BatchDag {
         self.topo.get_or_init(|| Arc::new(self.memo.topo_view()))
     }
 
-    /// Locks the compile cache, recovering from poison by *resetting* it:
-    /// a panic mid-compile (the chaos suites inject them on purpose) may
-    /// have left torn scratch behind, and a fresh cache is always correct
-    /// — it is only a cache — while propagating the poison would wedge
-    /// every later compile of this batch.
-    fn lock_engine_cache(&self) -> MutexGuard<'_, CompileCache> {
-        self.engine_cache.lock().unwrap_or_else(|poison| {
-            let mut guard = poison.into_inner();
-            *guard = CompileCache::new();
-            guard
-        })
-    }
-
-    /// Compiles a [`BestCostEngine`] for this batch through the shared
-    /// [`CompileCache`]: the first compile seeds the cache with
-    /// [`BatchDag::topo_view`], and every recompile (e.g.
-    /// [`crate::session::OptimizedBatch::run_all`] building one engine per
-    /// strategy) skips the topological sort and reuses the compile scratch
-    /// buffers.
-    pub fn compile_engine(&self, cm: &dyn CostModel, config: MqoConfig) -> BestCostEngine {
-        let mut cache = self.lock_engine_cache();
-        cache.prime_topo(&self.memo, self.topo_arc());
-        let mut engine = BestCostEngine::with_cache(
-            &self.memo,
-            cm,
-            self.root,
-            &self.shareable,
-            config,
-            &mut cache,
-        );
-        engine.set_universe_epoch(self.universe_epoch);
-        engine
-    }
-
     /// Compiles an immutable [`EngineState`] snapshot of the current commit:
     /// the shared engine arenas plus the universe and dense query roots,
     /// stamped with the memo version so consumers can tell whether a held
     /// snapshot is still current. Readers spin up per-caller
-    /// [`BestCostEngine`] handles from it ([`EngineState::engine`]) without
-    /// touching the batch again.
+    /// [`crate::engine::BestCostEngine`] handles from it
+    /// ([`EngineState::engine`]) without touching the batch again.
     pub fn compile_state(&self, cm: &dyn CostModel) -> EngineState {
-        let mut cache = self.lock_engine_cache();
-        cache.prime_topo(&self.memo, self.topo_arc());
+        let topo = self.topo_arc();
         let arenas = Arc::new(EngineArenas::compile(
             &self.memo,
             cm,
             self.root,
             &self.shareable,
-            &mut cache,
+            Arc::clone(topo),
         ));
-        drop(cache);
-        let topo = self.topo_arc();
         let query_roots = self.query_roots.iter().map(|&q| topo.dense(q)).collect();
         EngineState::assemble(
             self.memo.version(),
-            self.universe_epoch,
             arenas,
             self.shareable.clone(),
             query_roots,
@@ -657,8 +617,8 @@ impl BatchDag {
     /// Rewinds every evolution commit made since `sp` was taken: slots,
     /// elements, tickets, and the memo return to the exact snapshot state.
     /// The universe epoch bumps only when the rewind actually changes the
-    /// shareable universe — an identical ground set means every memoized
-    /// oracle value is still correct, so consumers need not invalidate.
+    /// shareable universe — an identical ground set keeps every
+    /// universe-indexed value valid.
     /// If the memo savepoint was invalidated in the meantime (e.g. a
     /// retire rewound past it), the snapshot's live queries are rebuilt
     /// instead — same resulting state, full cost.

@@ -47,7 +47,7 @@
 //! # Sharded evaluation
 //!
 //! All of the mutable per-evaluation state (overlay arenas, epoch stamps,
-//! dirty-cone worklist, diff buffer) lives in an [`EngineScratch`], while
+//! dirty-cone worklist, diff buffer) lives in an `EngineScratch`, while
 //! the compiled arenas and the committed base are immutable during a batch.
 //! With [`MqoConfig::threads`] > 1 (or the `MQO_THREADS` environment
 //! variable), [`BestCostEngine::bc_many`] rebases once to the round's
@@ -71,56 +71,25 @@ use mqo_volcano::physical::{PhysOp, SortOrder};
 
 pub use crate::config::MqoConfig;
 
-/// Integer type of the overlay epoch stamps. The engine uses `u64`; tests
-/// substitute a deliberately tiny type to exercise the wrap path, which
-/// clears every stamped array instead of relying on the counter never
-/// wrapping.
-pub trait EpochInt: Copy + Eq + Send + std::fmt::Debug {
-    /// The stamp every scratch array starts at (and is cleared back to).
-    const ZERO: Self;
-    /// The last epoch before a wrap must reset the stamps.
-    const MAX: Self;
-    /// The next epoch. Only called strictly below [`Self::MAX`]: the wrap
-    /// is handled by [`EngineScratch`] clearing the stamps first.
-    fn succ(self) -> Self;
-}
-
-impl EpochInt for u64 {
-    const ZERO: Self = 0;
-    const MAX: Self = u64::MAX;
-    fn succ(self) -> Self {
-        self + 1
-    }
-}
-
-#[cfg(test)]
-impl EpochInt for u8 {
-    const ZERO: Self = 0;
-    const MAX: Self = u8::MAX;
-    fn succ(self) -> Self {
-        self + 1
-    }
-}
-
 /// The mutable per-evaluation state of a [`BestCostEngine`]: the overlay
 /// arenas, their epoch stamps, the dirty-cone worklist, and the diff
 /// buffer. Everything else in the engine is immutable during a batch, so
 /// sharded [`BestCostEngine::bc_many`] hands each worker thread its own
 /// `EngineScratch` over the shared arenas.
-#[derive(Clone, Debug, Default)]
-pub struct EngineScratch<E: EpochInt = u64> {
+#[derive(Debug, Default)]
+pub(crate) struct EngineScratch {
     /// Overlay `compute` values (live iff the state's stamp is current).
     compute: Vec<f64>,
     /// Overlay `use` values (live iff the state's stamp is current).
     use_: Vec<f64>,
     /// Per-state epoch stamp.
-    state_epoch: Vec<E>,
+    state_epoch: Vec<u64>,
     /// Current evaluation epoch.
-    epoch: E,
+    epoch: u64,
     /// Reusable dirty-cone worklist (min-heap over dense indices).
     dirty: BinaryHeap<Reverse<u32>>,
     /// Per-group queued stamp for the worklist.
-    queued_epoch: Vec<E>,
+    queued_epoch: Vec<u64>,
     /// Reusable symmetric-difference buffer.
     diff_buf: Vec<usize>,
     /// Full evaluations performed through this scratch.
@@ -129,16 +98,16 @@ pub struct EngineScratch<E: EpochInt = u64> {
     incremental_evals: u64,
 }
 
-impl<E: EpochInt> EngineScratch<E> {
+impl EngineScratch {
     /// A zeroed scratch for `n_states` DP states over `n_groups` groups.
     fn new(n_states: usize, n_groups: usize) -> Self {
         EngineScratch {
             compute: vec![0.0; n_states],
             use_: vec![0.0; n_states],
-            state_epoch: vec![E::ZERO; n_states],
-            epoch: E::ZERO,
+            state_epoch: vec![0; n_states],
+            epoch: 0,
             dirty: BinaryHeap::new(),
-            queued_epoch: vec![E::ZERO; n_groups],
+            queued_epoch: vec![0; n_groups],
             diff_buf: Vec::new(),
             full_evals: 0,
             incremental_evals: 0,
@@ -146,14 +115,14 @@ impl<E: EpochInt> EngineScratch<E> {
     }
 
     /// Starts a new overlay evaluation and returns its epoch. When the
-    /// counter would wrap past [`EpochInt::MAX`], every stamped array is
+    /// counter would wrap past `u64::MAX`, every stamped array is
     /// explicitly cleared first — stale stamps can therefore never collide
-    /// with a post-wrap epoch, no matter how small the epoch type is.
-    fn advance_epoch(&mut self) -> E {
-        if self.epoch == E::MAX {
+    /// with a post-wrap epoch.
+    fn advance_epoch(&mut self) -> u64 {
+        if self.epoch == u64::MAX {
             self.invalidate();
         }
-        self.epoch = self.epoch.succ();
+        self.epoch += 1;
         self.epoch
     }
 
@@ -163,9 +132,9 @@ impl<E: EpochInt> EngineScratch<E> {
     /// epochs only grow) keeps the live-value invariant independent of the
     /// counter's history.
     fn invalidate(&mut self) {
-        self.state_epoch.fill(E::ZERO);
-        self.queued_epoch.fill(E::ZERO);
-        self.epoch = E::ZERO;
+        self.state_epoch.fill(0);
+        self.queued_epoch.fill(0);
+        self.epoch = 0;
     }
 }
 
@@ -175,92 +144,6 @@ impl<E: EpochInt> EngineScratch<E> {
 pub(crate) enum OutOrder {
     Fixed(SortOrder),
     InheritChild0,
-}
-
-/// Reusable compilation state for [`BestCostEngine::with_cache`]: the
-/// memo's [`TopoView`] (rebuilt only when the memo's fingerprint changes)
-/// plus the scratch buffers of the counted CSR build. Recompiling the same
-/// memo through one cache — as [`crate::batch::BatchDag::compile_engine`]
-/// does — skips the topological sort entirely and reuses every temporary
-/// buffer, so a recompile allocates only the engine's own arenas.
-#[derive(Debug, Default)]
-pub struct CompileCache {
-    topo: Option<Arc<TopoView>>,
-    /// Fingerprint of the memo the cached view was built from.
-    sig: (usize, usize, usize, u64),
-    /// Per-state emitted-option counts (counted pass).
-    opt_cnt: Vec<u32>,
-    /// Emission-order option records: owning state, operator cost, output
-    /// order, and children (flat, with offsets).
-    tmp_state: Vec<u32>,
-    tmp_cost: Vec<f64>,
-    tmp_out: Vec<OutOrder>,
-    /// Emission-order plan provenance: the memo expression and physical
-    /// operator each option implements (consumed by plan extraction).
-    tmp_phys: Vec<(ExprId, PhysOp)>,
-    tmp_child: Vec<u32>,
-    tmp_child_off: Vec<u32>,
-    /// Emission index → final (state-sorted) option slot.
-    pos: Vec<u32>,
-    cursor: Vec<u32>,
-    child_cnt: Vec<u32>,
-    /// Flat state index → dense group index.
-    group_of_state: Vec<u32>,
-}
-
-impl CompileCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A cheap fingerprint of the memo's structure: any insert grows the
-    /// allocation count, any merge shrinks the live-*group* count (even
-    /// when no expression is tombstoned), and tombstoning shrinks the
-    /// live-expression count. The fourth component is the memo's monotone
-    /// delta epoch ([`Memo::version`]): batch evolution can rewind the
-    /// arenas to a state whose three counts alias an earlier compile
-    /// (savepoint rollback restores them exactly), but the version never
-    /// decreases, so a cached view can never be served across *any*
-    /// mutation — including a rollback or reset.
-    pub(crate) fn signature(memo: &Memo) -> (usize, usize, usize, u64) {
-        (
-            memo.exprs_allocated(),
-            memo.n_groups(),
-            memo.n_exprs(),
-            memo.version(),
-        )
-    }
-
-    /// The cached [`TopoView`] for `memo`, rebuilding it when the memo
-    /// changed since the last compile. The view is shared by `Arc`, so
-    /// handing it to an engine copies a pointer, not the arenas.
-    fn topo_for(&mut self, memo: &Memo) -> Arc<TopoView> {
-        let sig = Self::signature(memo);
-        if self.topo.is_none() || self.sig != sig {
-            self.topo = Some(Arc::new(memo.topo_view()));
-            self.sig = sig;
-        }
-        Arc::clone(self.topo.as_ref().expect("just ensured"))
-    }
-
-    /// Seeds the cached view from an externally computed one (cloning it),
-    /// so the first compile through this cache skips the topological sort
-    /// too.
-    ///
-    /// **Contract:** `topo` must have been built from `memo` in its
-    /// *current* state — the cache stamps it with the current fingerprint
-    /// and cannot tell a stale view apart from a fresh one. The only
-    /// in-repo caller, `BatchDag::compile_engine`, enforces this by
-    /// fingerprinting the memo when its `TopoView` is first computed and
-    /// asserting the memo is unchanged on every later access.
-    pub fn prime_topo(&mut self, memo: &Memo, topo: &Arc<TopoView>) {
-        let sig = Self::signature(memo);
-        if self.topo.is_none() || self.sig != sig {
-            self.topo = Some(Arc::clone(topo));
-            self.sig = sig;
-        }
-    }
 }
 
 /// Sentinel in `opt_c0`/`opt_c1`: this child slot is absent.
@@ -277,9 +160,8 @@ const OPT_SPILL: u32 = u32::MAX - 1;
 /// so concurrent readers each spin up a handle from the same snapshot
 /// without recompiling or blocking each other.
 pub struct EngineArenas {
-    /// Dense topological view of the memo (shared with the compile cache
-    /// and the batch; owns the parent adjacency used for dirty-cone
-    /// propagation).
+    /// Dense topological view of the memo (shared with the batch; owns
+    /// the parent adjacency used for dirty-cone propagation).
     pub(crate) topo: Arc<TopoView>,
     /// Group → state range (CSR offsets; one state per interesting order,
     /// index 0 is always the unordered requirement).
@@ -379,11 +261,6 @@ pub struct BestCostEngine {
     /// [`Self::bc_many`], reused across rounds instead of cloning the
     /// first candidate every round.
     shared_buf: BitSet,
-    /// Universe epoch of the batch state this engine was compiled against
-    /// (0 for engines compiled outside an evolvable batch). Memoized
-    /// oracle layers key their caches on it so a universe resize across an
-    /// evolution step can never serve a stale bitset evaluation.
-    universe_epoch: u64,
     /// Evaluation strategy knobs.
     pub config: MqoConfig,
 }
@@ -403,38 +280,9 @@ impl BestCostEngine {
         universe: &[GroupId],
         config: MqoConfig,
     ) -> Self {
-        Self::with_cache(memo, cm, root, universe, config, &mut CompileCache::new())
-    }
-
-    /// Universe epoch of the batch state this engine was compiled against
-    /// (see [`crate::batch::BatchDag::universe_epoch`]); 0 for engines
-    /// compiled directly, outside an evolvable batch.
-    pub fn universe_epoch(&self) -> u64 {
-        self.universe_epoch
-    }
-
-    /// Stamps the engine with its batch's universe epoch; called by
-    /// `BatchDag::compile_engine` so memoized oracle layers over this
-    /// engine can invalidate when the universe evolves.
-    pub fn set_universe_epoch(&mut self, epoch: u64) {
-        self.universe_epoch = epoch;
-    }
-
-    /// Compiles the engine through a reusable [`CompileCache`]: the cached
-    /// [`TopoView`] is reused whenever the memo is unchanged since the last
-    /// compile, and every temporary buffer of the counted CSR build is
-    /// recycled. This is the recompile path
-    /// [`crate::batch::BatchDag::compile_engine`] uses.
-    pub fn with_cache(
-        memo: &Memo,
-        cm: &dyn CostModel,
-        root: GroupId,
-        universe: &[GroupId],
-        config: MqoConfig,
-        cache: &mut CompileCache,
-    ) -> Self {
+        let topo = Arc::new(memo.topo_view());
         Self::from_arenas(
-            Arc::new(EngineArenas::compile(memo, cm, root, universe, cache)),
+            Arc::new(EngineArenas::compile(memo, cm, root, universe, topo)),
             config,
         )
     }
@@ -457,7 +305,6 @@ impl BestCostEngine {
             scratch: EngineScratch::new(n_states, n_groups),
             worker_scratches: Vec::new(),
             shared_buf: BitSet::empty(u),
-            universe_epoch: 0,
             config,
             arenas,
         }
@@ -482,18 +329,15 @@ impl std::ops::Deref for BestCostEngine {
 
 impl EngineArenas {
     /// Compiles the immutable arenas for a memo, cost model, and shareable
-    /// universe through a reusable [`CompileCache`]: the cached
-    /// [`TopoView`] is reused whenever the memo is unchanged since the
-    /// last compile, and every temporary buffer of the counted CSR build
-    /// is recycled.
+    /// universe over `topo`, the memo's current [`TopoView`] (shared by
+    /// `Arc`, so the arenas and the batch hold one copy).
     pub(crate) fn compile(
         memo: &Memo,
         cm: &dyn CostModel,
         root: GroupId,
         universe: &[GroupId],
-        cache: &mut CompileCache,
+        topo: Arc<TopoView>,
     ) -> EngineArenas {
-        let topo = cache.topo_for(memo);
         let n = topo.len();
 
         // 1. Interesting orders per group: demanded by join/aggregate
@@ -583,40 +427,23 @@ impl EngineArenas {
         }
         let n_states = *state_off.last().unwrap() as usize;
 
-        let CompileCache {
-            opt_cnt,
-            tmp_state,
-            tmp_cost,
-            tmp_out,
-            tmp_phys,
-            tmp_child,
-            tmp_child_off,
-            pos,
-            cursor,
-            child_cnt,
-            group_of_state,
-            ..
-        } = cache;
-        group_of_state.clear();
-        group_of_state.resize(n_states, 0);
+        let mut group_of_state: Vec<u32> = vec![0; n_states];
         for gi in 0..n {
             let (s0, s1) = (state_off[gi] as usize, state_off[gi + 1] as usize);
             group_of_state[s0..s1].fill(gi as u32);
         }
 
         // 3. Emission pass: every expression's physical options are emitted
-        // once into flat reusable buffers (state, cost, out-order, child
-        // state indices), counting options per state as we go — no nested
-        // per-state vectors, no per-option allocations.
-        opt_cnt.clear();
-        opt_cnt.resize(n_states, 0);
-        tmp_state.clear();
-        tmp_cost.clear();
-        tmp_out.clear();
-        tmp_phys.clear();
-        tmp_child.clear();
-        tmp_child_off.clear();
-        tmp_child_off.push(0);
+        // once into flat buffers (state, cost, out-order, plan provenance,
+        // child state indices), counting options per state as we go — no
+        // nested per-state vectors, no per-option allocations.
+        let mut opt_cnt: Vec<u32> = vec![0; n_states];
+        let mut tmp_state: Vec<u32> = Vec::new();
+        let mut tmp_cost: Vec<f64> = Vec::new();
+        let mut tmp_out: Vec<OutOrder> = Vec::new();
+        let mut tmp_phys: Vec<(ExprId, PhysOp)> = Vec::new();
+        let mut tmp_child: Vec<u32> = Vec::new();
+        let mut tmp_child_off: Vec<u32> = vec![0];
         for (gi, &g) in topo.order().iter().enumerate() {
             let s_base = state_off[gi] as usize;
             for e in memo.group_exprs(g) {
@@ -646,17 +473,14 @@ impl EngineArenas {
         for s in 0..n_states {
             opt_off.push(opt_off[s] + opt_cnt[s]);
         }
-        cursor.clear();
-        cursor.extend_from_slice(&opt_off[..n_states]);
-        pos.clear();
-        pos.resize(n_opts, 0);
+        let mut cursor: Vec<u32> = opt_off[..n_states].to_vec();
+        let mut pos: Vec<u32> = vec![0; n_opts];
         for k in 0..n_opts {
             let s = tmp_state[k] as usize;
             pos[k] = cursor[s];
             cursor[s] += 1;
         }
-        child_cnt.clear();
-        child_cnt.resize(n_opts, 0);
+        let mut child_cnt: Vec<u32> = vec![0; n_opts];
         for k in 0..n_opts {
             child_cnt[pos[k] as usize] = tmp_child_off[k + 1] - tmp_child_off[k];
         }
@@ -679,10 +503,10 @@ impl EngineArenas {
         // Out-order and provenance records own heap data (sort keys, scan
         // names): scatter them by move so the engine arenas take ownership
         // of the emitted records instead of cloning every option.
-        for (k, out) in tmp_out.drain(..).enumerate() {
+        for (k, out) in tmp_out.into_iter().enumerate() {
             opt_out[pos[k] as usize] = out;
         }
-        for (k, p) in tmp_phys.drain(..).enumerate() {
+        for (k, p) in tmp_phys.into_iter().enumerate() {
             opt_phys[pos[k] as usize] = Some(p);
         }
         let opt_phys: Vec<(ExprId, PhysOp)> = opt_phys
@@ -751,7 +575,7 @@ impl EngineArenas {
             opt_out,
             state_order,
             natural_order: Vec::new(),
-            group_of_state: group_of_state.clone(),
+            group_of_state,
             mat_cost: Vec::new(),
             rows,
             empty_compute: Vec::new(),
@@ -871,7 +695,7 @@ impl EngineArenas {
     /// A fresh, zeroed scratch sized for this engine's arenas. The engine
     /// owns one for serial evaluation; sharded [`Self::bc_many`] creates
     /// one per worker thread.
-    fn new_scratch<E: EpochInt>(&self) -> EngineScratch<E> {
+    fn new_scratch(&self) -> EngineScratch {
         EngineScratch::new(self.n_states(), self.topo.len())
     }
 
@@ -924,7 +748,7 @@ impl EngineArenas {
 
     /// Full evaluation without committing: solves into the scratch's
     /// overlay arenas (reused, never reallocated) and totals from them.
-    fn full_eval_with<E: EpochInt>(&self, scratch: &mut EngineScratch<E>, set: &BitSet) -> f64 {
+    fn full_eval_with(&self, scratch: &mut EngineScratch, set: &BitSet) -> f64 {
         let mut compute = std::mem::take(&mut scratch.compute);
         let mut use_ = std::mem::take(&mut scratch.use_);
         self.full_solve_into(set, &mut compute, &mut use_);
@@ -1067,7 +891,7 @@ impl BestCostEngine {
     /// threads. A candidate past the rebase threshold is answered by a
     /// full (uncommitted) solve into the worker's scratch: same value as
     /// the serial threshold-rebase, different bookkeeping.
-    fn bc_from_base<E: EpochInt>(&self, scratch: &mut EngineScratch<E>, set: &BitSet) -> f64 {
+    fn bc_from_base(&self, scratch: &mut EngineScratch, set: &BitSet) -> f64 {
         let threshold = self.config.rebase_threshold;
         let dist = set.symmetric_difference_len_capped(&self.base_set, threshold);
         if dist == 0 {
@@ -1091,7 +915,7 @@ impl BestCostEngine {
     /// each answer is a minimal overlay.
     ///
     /// With [`MqoConfig::threads`] > 1 the candidates are sharded over
-    /// `std::thread::scope` workers, each with its own [`EngineScratch`]
+    /// `std::thread::scope` workers, each with its own `EngineScratch`
     /// over the shared immutable arenas; every candidate is evaluated from
     /// the same committed base. The serial mode runs the identical
     /// per-candidate code against the engine's own scratch (a candidate
@@ -1303,7 +1127,7 @@ impl BestCostEngine {
 
     /// Fills the scratch's diff buffer with the symmetric difference
     /// `set △ base`.
-    fn load_diff<E: EpochInt>(&self, scratch: &mut EngineScratch<E>, set: &BitSet) {
+    fn load_diff(&self, scratch: &mut EngineScratch, set: &BitSet) {
         scratch.diff_buf.clear();
         scratch
             .diff_buf
@@ -1327,7 +1151,7 @@ impl BestCostEngine {
     /// a from-scratch full solve's flat sum by design (the differential
     /// suites pin overlay ≡ full to 1e-9 relative, and serial ≡ sharded
     /// bitwise).
-    fn overlay_eval_with<E: EpochInt>(&self, scratch: &mut EngineScratch<E>, set: &BitSet) -> f64 {
+    fn overlay_eval_with(&self, scratch: &mut EngineScratch, set: &BitSet) -> f64 {
         let epoch = scratch.advance_epoch();
         let EngineScratch {
             compute: scratch_compute,
@@ -1431,8 +1255,6 @@ pub struct EngineState {
     /// [`Memo::version`] at compile time — monotone, so two distinct
     /// batch states can never share a snapshot version.
     version: u64,
-    /// Universe epoch of the batch state this snapshot was compiled from.
-    universe_epoch: u64,
     arenas: Arc<EngineArenas>,
     /// Shareable universe: element `i` is group `shareable[i]`.
     shareable: Vec<GroupId>,
@@ -1442,17 +1264,15 @@ pub struct EngineState {
 
 impl EngineState {
     /// Assembles a snapshot; callers guarantee `arenas` was compiled from
-    /// the batch state identified by `(version, universe_epoch)`.
+    /// the batch state at memo version `version`.
     pub(crate) fn assemble(
         version: u64,
-        universe_epoch: u64,
         arenas: Arc<EngineArenas>,
         shareable: Vec<GroupId>,
         query_roots: Vec<u32>,
     ) -> Self {
         EngineState {
             version,
-            universe_epoch,
             arenas,
             shareable,
             query_roots,
@@ -1462,11 +1282,6 @@ impl EngineState {
     /// The memo version this snapshot was compiled at.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The universe epoch this snapshot was compiled at.
-    pub fn universe_epoch(&self) -> u64 {
-        self.universe_epoch
     }
 
     /// The shareable-universe size.
@@ -1499,9 +1314,7 @@ impl EngineState {
     /// independent: each owns its committed base and overlay scratch, so
     /// any number of readers can evaluate concurrently.
     pub fn engine(&self, config: MqoConfig) -> BestCostEngine {
-        let mut engine = BestCostEngine::from_arenas(Arc::clone(&self.arenas), config);
-        engine.set_universe_epoch(self.universe_epoch);
-        engine
+        BestCostEngine::from_arenas(Arc::clone(&self.arenas), config)
     }
 }
 
@@ -1736,9 +1549,8 @@ mod tests {
             .collect()
     }
 
-    /// The two-query fixture plus a third (A⋈D) plan kept aside for
-    /// evolution tests.
-    fn build_batch_and_extra() -> (BatchDag, PlanNode) {
+    /// The two-query fixture.
+    fn build_batch() -> BatchDag {
         let mut cat = Catalog::new();
         for (name, rows) in [
             ("a", 20_000.0),
@@ -1768,7 +1580,6 @@ mod tests {
         let p_ab = Predicate::join(ctx.col(a, "a_key"), ctx.col(b, "b_fk"));
         let p_bc = Predicate::join(ctx.col(b, "b_key"), ctx.col(c, "c_fk"));
         let p_bd = Predicate::join(ctx.col(b, "b_key"), ctx.col(d, "d_fk"));
-        let p_ad = Predicate::join(ctx.col(a, "a_key"), ctx.col(d, "d_fk"));
         let sel = Predicate::on(ctx.col(c, "c_x"), Constraint::le(25));
         let q1 = PlanNode::scan(a)
             .join(PlanNode::scan(b), p_ab)
@@ -1776,12 +1587,7 @@ mod tests {
         let q2 = PlanNode::scan(b)
             .join(PlanNode::scan(c).select(sel), p_bc)
             .join(PlanNode::scan(d), p_bd);
-        let q3 = PlanNode::scan(a).join(PlanNode::scan(d), p_ad);
-        (BatchDag::build(ctx, &[q1, q2], &RuleSet::default()), q3)
-    }
-
-    fn build_batch() -> BatchDag {
-        build_batch_and_extra().0
+        BatchDag::build(ctx, &[q1, q2], &RuleSet::default())
     }
 
     #[test]
@@ -2078,12 +1884,17 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn tiny_epoch_type_survives_wraps() {
-        // Force the epoch counter to wrap several times with a u8 epoch:
-        // the wrap path must clear every stamp, so values stay exact long
-        // after 255 overlay evaluations.
-        let batch = build_batch();
+    /// Runs overlay evaluations of random 3-element sets through one
+    /// scratch, across a `u64` epoch wrap, checking each against the
+    /// full-recompute ablation. The first 50 evaluations stamp low epochs;
+    /// the counter then jumps to 20 below `u64::MAX`, so the remaining
+    /// evaluations wrap it and reuse exactly those low epochs. Values stay
+    /// exact, and no stamp outlives the wrap, only if the wrap path clears
+    /// every stamp. The batch needs cones that do not nest: on a tiny
+    /// universe every evaluation restamps every earlier cone, and a missing
+    /// clear goes unseen.
+    fn assert_overlay_exact_across_epoch_wrap(batch: &BatchDag, seed: u64) {
+        const JUMP: u64 = u64::MAX - 20;
         let cm = DiskCostModel::paper();
         let engine = BestCostEngine::new(batch.memo(), &cm, batch.root(), batch.shareable());
         let mut full = BestCostEngine::with_config(
@@ -2097,9 +1908,12 @@ mod tests {
             },
         );
         let n = batch.universe_size();
-        let mut tiny: EngineScratch<u8> = engine.new_scratch();
-        let mut state = 0xD1CEu64;
-        for i in 0..700 {
+        let mut scratch = engine.new_scratch();
+        let mut state = seed;
+        for i in 0..650 {
+            if i == 50 {
+                scratch.epoch = JUMP;
+            }
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -2109,65 +1923,56 @@ mod tests {
                 let bit = ((state >> (8 * e)) as usize) % n;
                 set.insert(bit);
             }
-            let a = engine.bc_from_base(&mut tiny, &set);
+            let a = engine.bc_from_base(&mut scratch, &set);
             let b = full.bc(&set);
             assert!(
                 (a - b).abs() < 1e-9 * (1.0 + b.abs()),
-                "iteration {i}: tiny-epoch overlay {a} vs full {b}"
+                "iteration {i} (epoch {}): overlay {a} vs full {b}",
+                scratch.epoch
+            );
+            // No stamp is ever ahead of the counter: a stamp from before
+            // the wrap must not outlive it.
+            assert!(
+                scratch
+                    .state_epoch
+                    .iter()
+                    .chain(&scratch.queued_epoch)
+                    .all(|&e| e <= scratch.epoch),
+                "iteration {i}: a stamp is ahead of epoch {}",
+                scratch.epoch
             );
         }
         assert!(
-            tiny.incremental_evals > 300,
-            "the sweep must actually exercise the overlay path across wraps"
+            scratch.epoch < JUMP,
+            "the sweep must wrap the epoch counter (epoch {})",
+            scratch.epoch
         );
+        assert!(
+            scratch.epoch > 50,
+            "the sweep must reuse the low epochs stamped before the jump"
+        );
+    }
+
+    #[test]
+    fn tiny_epoch_type_survives_wraps() {
+        let w = mqo_tpcd::batched(4, 1.0);
+        let batch = BatchDag::build(w.ctx, &w.queries, &RuleSet::default());
+        assert_overlay_exact_across_epoch_wrap(&batch, 0xD1CE);
     }
 
     #[test]
     fn tiny_epoch_type_survives_wraps_across_evolution() {
         // The wrap hardening must also hold on an engine compiled after
-        // the batch evolved: the universe resized, so the scratch arenas
-        // are re-sized and the tiny counter starts wrapping again from
-        // zero. Run a >255-evaluation sweep on the evolved engine and
-        // check every value against the full-recompute ablation.
-        let (mut batch, q3) = build_batch_and_extra();
+        // the batch evolved: the last query is admitted into a live batch
+        // of the others, so the universe resized and the scratch arenas
+        // are sized for the evolved engine.
+        let w = mqo_tpcd::batched(4, 1.0);
+        let (last, rest) = w.queries.split_last().expect("BQ4 has queries");
+        let mut batch = BatchDag::build(w.ctx, rest, &RuleSet::default());
         let n_before = batch.universe_size();
-        batch.add_query_with_threads(&q3, 1);
-        let n = batch.universe_size();
-        assert!(n >= n_before, "admitting A⋈D must not shrink the universe");
-        let cm = DiskCostModel::paper();
-        let engine = BestCostEngine::new(batch.memo(), &cm, batch.root(), batch.shareable());
-        let mut full = BestCostEngine::with_config(
-            batch.memo(),
-            &cm,
-            batch.root(),
-            batch.shareable(),
-            MqoConfig {
-                force_full: true,
-                ..Default::default()
-            },
-        );
-        let mut tiny: EngineScratch<u8> = engine.new_scratch();
-        let mut state = 0xBEEFu64;
-        for i in 0..600 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let mut set = BitSet::empty(n);
-            for e in 0..3 {
-                let bit = ((state >> (8 * e)) as usize) % n;
-                set.insert(bit);
-            }
-            let a = engine.bc_from_base(&mut tiny, &set);
-            let b = full.bc(&set);
-            assert!(
-                (a - b).abs() < 1e-9 * (1.0 + b.abs()),
-                "iteration {i}: evolved tiny-epoch overlay {a} vs full {b}"
-            );
-        }
-        assert!(
-            tiny.incremental_evals > 255,
-            "the sweep must wrap the u8 epoch on the evolved engine"
-        );
+        batch.add_query_with_threads(last, 1);
+        assert_ne!(batch.universe_size(), n_before, "the universe must resize");
+        assert_overlay_exact_across_epoch_wrap(&batch, 0xBEEF);
     }
 
     #[test]
@@ -2190,77 +1995,6 @@ mod tests {
         let mut fresh = BestCostEngine::new(batch.memo(), &cm, batch.root(), batch.shareable());
         let b = fresh.bc(&BitSet::from_iter(n, [0]));
         assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
-    }
-
-    #[test]
-    fn compile_cache_invalidates_on_expression_preserving_merge() {
-        // A group merge can change the memo's topology without allocating
-        // or tombstoning a single expression (two parentless groups with
-        // structurally distinct members). The cache fingerprint must still
-        // invalidate the cached TopoView — it keys on the live-group
-        // count, which every merge shrinks.
-        let mut cat = Catalog::new();
-        for (name, rows) in [("a", 1000.0), ("b", 2000.0)] {
-            cat.add_table(
-                TableBuilder::new(name, rows)
-                    .key_column(format!("{name}_key"), 4)
-                    .column(format!("{name}_x"), 10.0, (0, 9), 4)
-                    .primary_key(&[&format!("{name}_key")])
-                    .build(),
-            );
-        }
-        let mut ctx = DagContext::new(cat);
-        let a = ctx.instance_by_name("a", 0);
-        let b = ctx.instance_by_name("b", 0);
-        let ja = ctx.col(a, "a_key");
-        let jb = ctx.col(b, "b_x");
-        let ax = ctx.col(a, "a_x");
-        let mut memo = mqo_volcano::Memo::new(ctx);
-        let j =
-            memo.insert_plan(&PlanNode::scan(a).join(PlanNode::scan(b), Predicate::join(ja, jb)));
-        // Two structurally distinct full-range selects over the join:
-        // identical cardinalities, no parents.
-        let sel = |col, memo: &mut mqo_volcano::Memo| {
-            memo.insert(
-                mqo_volcano::logical::LogicalOp::Select(Predicate::on(
-                    col,
-                    Constraint::range(Some(0), Some(9)),
-                )),
-                vec![j],
-                None,
-            )
-        };
-        let g1 = sel(jb, &mut memo);
-        let g2 = sel(ax, &mut memo);
-        assert_ne!(memo.find(g1), memo.find(g2));
-
-        let cm = DiskCostModel::paper();
-        let cfg = MqoConfig {
-            threads: 1,
-            ..Default::default()
-        };
-        let mut cache = CompileCache::new();
-        let before = BestCostEngine::with_cache(&memo, &cm, g1, &[], cfg, &mut cache);
-        let counts = (memo.exprs_allocated(), memo.n_exprs(), memo.n_group_slots());
-        memo.merge(g1, g2);
-        // The merge preserved every allocation/liveness count an
-        // insufficient fingerprint might key on...
-        assert_eq!(
-            (memo.exprs_allocated(), memo.n_exprs(), memo.n_group_slots()),
-            counts
-        );
-        // ...but the recompile through the same cache must see the merged
-        // topology, exactly like a fresh compile.
-        let root = memo.find(g1);
-        let mut cached = BestCostEngine::with_cache(&memo, &cm, root, &[], cfg, &mut cache);
-        let mut fresh = BestCostEngine::with_config(&memo, &cm, root, &[], cfg);
-        assert!(
-            cached.n_states() < before.n_states(),
-            "stale TopoView survived the merge"
-        );
-        assert_eq!(cached.n_states(), fresh.n_states());
-        let empty = BitSet::empty(0);
-        assert_eq!(cached.bc(&empty), fresh.bc(&empty));
     }
 
     #[test]

@@ -172,10 +172,11 @@ impl SessionBuilder {
 
 /// A fully expanded batch bound to a cost model and a configuration: the
 /// object the paper's experiments revolve around. Every
-/// [`OptimizedBatch::run`] compiles the `bestCost` engine through the
-/// batch's shared compile cache (the topological view and compile scratch
-/// are reused across strategies), runs the strategy's node selection, and
-/// extracts the consolidated physical plan from the compiled arenas.
+/// [`OptimizedBatch::run`] takes a fresh `bestCost` engine handle on the
+/// cached compiled [`EngineState`] of the current commit (compiled once per
+/// memo version by [`OptimizedBatch::snapshot`]), runs the strategy's node
+/// selection, and extracts the consolidated physical plan from the
+/// compiled arenas.
 ///
 /// The batch is *evolvable*: [`OptimizedBatch::add_query`] admits a new
 /// query into the live memo (seeded incremental expansion, no rebuild) and
@@ -237,11 +238,12 @@ impl OptimizedBatch {
         run_strategy(&self.snapshot(), strategy, self.config)
     }
 
-    /// Optimizes the batch with several strategies, recompiling the engine
-    /// per strategy so timings are comparable. The session's configuration
-    /// is threaded through **every** strategy — the pre-`Session` free
-    /// function `compare` silently dropped a custom `EngineConfig` and ran
-    /// each strategy under the defaults.
+    /// Optimizes the batch with several strategies. Each strategy gets a
+    /// fresh engine handle on the one cached snapshot, so no strategy
+    /// inherits another's committed base and timings are comparable. The
+    /// session's configuration is threaded through **every** strategy —
+    /// the pre-`Session` free function `compare` silently dropped a custom
+    /// `EngineConfig` and ran each strategy under the defaults.
     pub fn run_all(&self, strategies: &[Strategy]) -> Vec<RunReport> {
         strategies.iter().map(|&s| self.run(s)).collect()
     }

@@ -13,6 +13,9 @@
 //! the 4-worker configuration — `scripts/verify.sh` runs the whole file
 //! under `MQO_THREADS=1` and `MQO_THREADS=4` on every tier-1 pass.
 
+use std::sync::Arc;
+
+use mqo_core::engine::EngineState;
 use mqo_core::session::Session;
 use mqo_core::strategies::Strategy;
 use mqo_core::{OptimizedBatch, QueryTicket};
@@ -294,4 +297,61 @@ fn long_evolution_sequence_stays_equivalent() {
     assert_eq!(w2.queries.len(), pool.len());
     let fresh = build(w2.ctx, &survivors, 1);
     assert_equivalent(&batch, &fresh, "40-round add/retire rotation");
+}
+
+/// The session's one compiled-snapshot cache: `snapshot()` hands out the
+/// same `Arc` while the memo version stands, and every evolution step —
+/// including a rollback to an earlier batch state — publishes a new
+/// snapshot at a strictly higher version, which `run()` then uses.
+#[test]
+fn snapshot_is_cached_per_memo_version() {
+    fn assert_republished(old: &Arc<EngineState>, new: &Arc<EngineState>, step: &str) {
+        assert!(
+            !Arc::ptr_eq(old, new),
+            "{step}: a stale snapshot was served"
+        );
+        assert!(
+            new.version() > old.version(),
+            "{step}: version {} does not exceed {}",
+            new.version(),
+            old.version()
+        );
+    }
+    for threads in THREADS {
+        let w = mqo_tpcd::batched(4, 1.0);
+        let pool = w.queries.clone();
+        let mut batch = build(w.ctx, &pool[..2], threads);
+        let s0 = batch.snapshot();
+        assert!(
+            Arc::ptr_eq(&s0, &batch.snapshot()),
+            "one version must reuse one snapshot"
+        );
+
+        let t = batch.add_query(pool[2].clone());
+        let s1 = batch.snapshot();
+        assert_republished(&s0, &s1, "add_query");
+        assert!(Arc::ptr_eq(&s1, &batch.snapshot()));
+
+        batch.retire_query(t);
+        let s2 = batch.snapshot();
+        assert_republished(&s1, &s2, "retire_query");
+
+        let sp = batch.savepoint();
+        batch.add_query(pool[3].clone());
+        let s3 = batch.snapshot();
+        assert_republished(&s2, &s3, "speculative add_query");
+        batch.rollback(sp);
+        let s4 = batch.snapshot();
+        assert_republished(&s3, &s4, "rollback");
+        assert!(s4.version() > s2.version());
+        assert_eq!(s4.n_queries(), 2);
+
+        let w2 = mqo_tpcd::batched(4, 1.0);
+        let fresh = build(w2.ctx, &pool[..2], threads);
+        assert_equivalent(&batch, &fresh, &format!("rollback threads={threads}"));
+        assert!(
+            Arc::ptr_eq(&s4, &batch.snapshot()),
+            "runs must not republish the snapshot"
+        );
+    }
 }

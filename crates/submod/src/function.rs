@@ -7,7 +7,6 @@
 //! [`crate::algorithms`] is written against it.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 
 use crate::bitset::BitSet;
 
@@ -165,130 +164,6 @@ impl<F: SetFunction> SetFunction for CountingOracle<F> {
     }
 }
 
-/// Memoizing wrapper: caches values per set.
-///
-/// Useful when an algorithm revisits the same subsets (e.g. the greedy loop
-/// evaluating `bc(X ∪ {x})` where `X` grows by exactly the previously best
-/// candidate). Unbounded; intended for algorithm-internal lifetimes.
-///
-/// Cache entries are keyed on raw bitsets, whose bit positions are only
-/// meaningful relative to a fixed universe. The wrapper therefore carries a
-/// *universe epoch* stamp ([`MemoizedOracle::set_universe_epoch`]) and
-/// additionally watches `inner.universe()` on every evaluation: if either
-/// changes — an evolvable batch grew, tombstoned, or re-slotted its
-/// shareable universe — the cache is discarded, so a stale value can never
-/// be served for a bitset whose bits now name different elements.
-pub struct MemoizedOracle<F: SetFunction> {
-    inner: F,
-    cache: std::cell::RefCell<HashMap<BitSet, f64>>,
-    /// Externally supplied universe epoch the cache was populated under.
-    epoch: std::cell::Cell<u64>,
-    /// `inner.universe()` as observed when the cache was last (re)used —
-    /// the automatic invalidation signal when no explicit epoch is fed.
-    seen_universe: std::cell::Cell<usize>,
-}
-
-impl<F: SetFunction> MemoizedOracle<F> {
-    /// Wraps `inner` with an empty cache.
-    pub fn new(inner: F) -> Self {
-        let seen_universe = inner.universe();
-        MemoizedOracle {
-            inner,
-            cache: std::cell::RefCell::new(HashMap::new()),
-            epoch: std::cell::Cell::new(0),
-            seen_universe: std::cell::Cell::new(seen_universe),
-        }
-    }
-
-    /// Number of distinct sets cached.
-    pub fn cached_sets(&self) -> usize {
-        self.cache.borrow().len()
-    }
-
-    /// Borrows the inner function.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-
-    /// The universe epoch the cache is currently valid for.
-    pub fn universe_epoch(&self) -> u64 {
-        self.epoch.get()
-    }
-
-    /// Stamps the oracle with the universe epoch of the state it is about
-    /// to evaluate (e.g. `BatchDag::universe_epoch` after an evolution
-    /// commit). A changed epoch discards every cached value.
-    pub fn set_universe_epoch(&self, epoch: u64) {
-        if self.epoch.replace(epoch) != epoch {
-            self.cache.borrow_mut().clear();
-        }
-    }
-
-    /// Discards the cache if the inner function's universe changed since
-    /// it was populated (resize-based auto-invalidation; catches evolution
-    /// steps that never fed an explicit epoch).
-    fn check_universe(&self) {
-        let n = self.inner.universe();
-        if self.seen_universe.replace(n) != n {
-            self.cache.borrow_mut().clear();
-        }
-    }
-}
-
-impl<F: SetFunction> SetFunction for MemoizedOracle<F> {
-    fn universe(&self) -> usize {
-        self.inner.universe()
-    }
-    fn eval(&self, set: &BitSet) -> f64 {
-        self.check_universe();
-        if let Some(&v) = self.cache.borrow().get(set) {
-            return v;
-        }
-        let v = self.inner.eval(set);
-        self.cache.borrow_mut().insert(set.clone(), v);
-        v
-    }
-    fn eval_many(&self, sets: &[BitSet]) -> Vec<f64> {
-        self.check_universe();
-        // Forward only the distinct cache misses to the inner batch (a
-        // duplicated set costs one inner evaluation, like the eval loop
-        // would pay after its first call), then stitch the results back in
-        // order.
-        let mut out = vec![f64::NAN; sets.len()];
-        let mut miss_slot: HashMap<BitSet, usize> = HashMap::new();
-        let mut miss_sets: Vec<BitSet> = Vec::new();
-        let mut slot_of: Vec<Option<usize>> = vec![None; sets.len()];
-        {
-            let cache = self.cache.borrow();
-            for (i, s) in sets.iter().enumerate() {
-                match cache.get(s) {
-                    Some(&v) => out[i] = v,
-                    None => {
-                        let slot = *miss_slot.entry(s.clone()).or_insert_with(|| {
-                            miss_sets.push(s.clone());
-                            miss_sets.len() - 1
-                        });
-                        slot_of[i] = Some(slot);
-                    }
-                }
-            }
-        }
-        if !miss_sets.is_empty() {
-            let vals = self.inner.eval_many(&miss_sets);
-            let mut cache = self.cache.borrow_mut();
-            for (s, &v) in miss_sets.iter().zip(&vals) {
-                cache.insert(s.clone(), v);
-            }
-            for (i, slot) in slot_of.iter().enumerate() {
-                if let Some(slot) = slot {
-                    out[i] = vals[*slot];
-                }
-            }
-        }
-        out
-    }
-}
-
 /// An additive (modular) function `c(S) = Σ_{e∈S} weights[e]`
 /// (Definition 3 in the paper).
 #[derive(Clone, Debug)]
@@ -411,18 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_oracle_hits_cache() {
-        let f = CountingOracle::new(FnSetFunction::new(4, |s: &BitSet| s.len() as f64));
-        let memo = MemoizedOracle::new(f);
-        let s = BitSet::from_iter(4, [0]);
-        memo.eval(&s);
-        memo.eval(&s);
-        memo.eval(&s);
-        assert_eq!(memo.inner().calls(), 1);
-        assert_eq!(memo.cached_sets(), 1);
-    }
-
-    #[test]
     fn eval_many_matches_eval_loop_and_counts() {
         let f = CountingOracle::new(FnSetFunction::new(5, |s: &BitSet| s.len() as f64));
         let sets: Vec<BitSet> = (0..5).map(|e| BitSet::from_iter(5, [e])).collect();
@@ -430,87 +293,6 @@ mod tests {
         let looped: Vec<f64> = sets.iter().map(|s| f.eval(s)).collect();
         assert_eq!(batch, looped);
         assert_eq!(f.calls(), 10, "both paths count one call per set");
-    }
-
-    #[test]
-    fn memoized_eval_many_only_forwards_misses() {
-        let f = CountingOracle::new(FnSetFunction::new(4, |s: &BitSet| s.len() as f64));
-        let memo = MemoizedOracle::new(f);
-        let a = BitSet::from_iter(4, [0]);
-        let b = BitSet::from_iter(4, [1, 2]);
-        memo.eval(&a);
-        let vals = memo.eval_many(&[a.clone(), b.clone(), a.clone()]);
-        assert_eq!(vals, vec![1.0, 2.0, 1.0]);
-        // Only `b` was a miss.
-        assert_eq!(memo.inner().calls(), 2);
-        assert_eq!(memo.cached_sets(), 2);
-    }
-
-    /// Inner oracle whose universe and values can be mutated after
-    /// construction, simulating an evolvable batch growing or re-slotting
-    /// its shareable universe under a long-lived memoized wrapper.
-    struct MutableInner {
-        universe: Cell<usize>,
-        scale: Cell<f64>,
-    }
-
-    impl SetFunction for MutableInner {
-        fn universe(&self) -> usize {
-            self.universe.get()
-        }
-        fn eval(&self, set: &BitSet) -> f64 {
-            self.scale.get() * set.len() as f64
-        }
-    }
-
-    #[test]
-    fn memoized_oracle_invalidates_on_universe_resize() {
-        let memo = MemoizedOracle::new(MutableInner {
-            universe: Cell::new(4),
-            scale: Cell::new(1.0),
-        });
-        let s = BitSet::from_iter(4, [0, 2]);
-        assert_eq!(memo.eval(&s), 2.0);
-        assert_eq!(memo.cached_sets(), 1);
-
-        // Same universe: the (now wrong) cached value is served — that is
-        // exactly the memoization contract for a fixed ground set.
-        memo.inner().scale.set(10.0);
-        assert_eq!(memo.eval(&s), 2.0);
-
-        // The universe resized: every cached value must be discarded, so
-        // the fresh inner value comes back instead of the stale 2.0.
-        memo.inner().universe.set(5);
-        assert_eq!(memo.eval(&s), 20.0);
-        assert_eq!(memo.cached_sets(), 1, "stale entries were dropped");
-
-        // eval_many performs the same check.
-        memo.inner().scale.set(100.0);
-        memo.inner().universe.set(6);
-        assert_eq!(memo.eval_many(std::slice::from_ref(&s)), vec![200.0]);
-    }
-
-    #[test]
-    fn memoized_oracle_invalidates_on_epoch_change() {
-        let memo = MemoizedOracle::new(MutableInner {
-            universe: Cell::new(4),
-            scale: Cell::new(1.0),
-        });
-        let s = BitSet::from_iter(4, [1]);
-        assert_eq!(memo.eval(&s), 1.0);
-        memo.inner().scale.set(7.0);
-
-        // Re-stamping the current epoch keeps the cache.
-        memo.set_universe_epoch(memo.universe_epoch());
-        assert_eq!(memo.eval(&s), 1.0);
-        assert_eq!(memo.cached_sets(), 1);
-
-        // A new epoch (same universe *size*, e.g. a tombstoned slot was
-        // revived by a different query) discards the cache.
-        memo.set_universe_epoch(3);
-        assert_eq!(memo.universe_epoch(), 3);
-        assert_eq!(memo.cached_sets(), 0);
-        assert_eq!(memo.eval(&s), 7.0);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 #      run twice: MQO_THREADS=1 (serial oracle + expansion) and
 #      MQO_THREADS=4 (sharded bc_many + parallel expansion) — results
 #      must be identical by construction
-#   3. all remaining targets: examples, benches, experiment binaries
+#   3. all remaining targets: examples, benches, experiment binaries,
+#      plus a release build of the out-of-workspace benchmark package
+#      (benchmark/), so a library API change that breaks it fails here
 #   4. clippy (all targets, warnings are errors), rustfmt --check, and
 #      rustdoc with -D warnings (broken intra-doc links on the Session
 #      API fail the gate)
@@ -165,6 +167,11 @@ MQO_THREADS=4 cargo test -q --offline -p mqo-core --test fault_injection
 
 echo "==> cargo build --all-targets --offline (examples, benches, bins)"
 cargo build --all-targets --offline
+
+# benchmark/ is its own Cargo package outside the workspace, so the builds
+# above never compile it; it calls the library's public API.
+echo "==> cargo build --release --offline (benchmark package)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --offline --all-targets -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings

@@ -37,11 +37,17 @@ fn greedy_is_optimal_on_q11_and_q15() {
 
 #[test]
 fn marginal_greedy_with_cleanup_closes_the_gap_on_q11() {
-    // MarginalGreedy alone trails the optimum on Q11 (the mb function
-    // violates submodularity there — see EXPERIMENTS.md); the cleanup
-    // extension recovers it.
+    // On Q11 MarginalGreedy alone trails the Exhaustive optimum, and the
+    // cleanup extension closes the gap: both halves are asserted here.
     let batch = build("Q11");
     let exhaustive = batch.run(Strategy::Exhaustive);
+    let marginal = batch.run(Strategy::MarginalGreedy);
+    assert!(
+        marginal.total_cost > exhaustive.total_cost + 1e-6 * (1.0 + exhaustive.total_cost),
+        "MarginalGreedy no longer trails the optimum on Q11: {} vs {}",
+        marginal.total_cost,
+        exhaustive.total_cost
+    );
     let cleaned = batch.run(Strategy::MarginalGreedyCleanup);
     assert!(
         cleaned.total_cost <= exhaustive.total_cost + 1e-6 * (1.0 + exhaustive.total_cost),
