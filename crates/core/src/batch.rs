@@ -30,7 +30,9 @@ use std::sync::{Arc, OnceLock};
 use mqo_volcano::cost::CostModel;
 use mqo_volcano::logical::LogicalOp;
 use mqo_volcano::memo::{GroupId, Memo, MemoDelta, Savepoint, TopoView};
-use mqo_volcano::rules::{expand_seeded, expand_with, ExpansionStats, RuleSet};
+use mqo_volcano::rules::{
+    expand_seeded, expand_with, try_expand_seeded, try_expand_with, ExpansionStats, RuleSet,
+};
 use mqo_volcano::{DagContext, PlanNode};
 
 use crate::config::MqoConfig;
@@ -138,18 +140,34 @@ impl BatchDag {
     /// expansion fixpoint's candidate-generation phase. The memo is
     /// bit-identical at every thread count (the commit phase is serial and
     /// deterministic); only the wall-clock changes.
+    ///
+    /// # Panics
+    /// If the expansion outgrows the memo's expression cap; the fallible
+    /// variant is [`BatchDag::try_build_with_threads`].
     pub fn build_with_threads(
         ctx: DagContext,
         queries: &[PlanNode],
         rules: &RuleSet,
         threads: usize,
     ) -> Self {
+        Self::try_build_with_threads(ctx, queries, rules, threads).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`BatchDag::build_with_threads`]: an expansion that
+    /// outgrows the memo's expression cap is reported as
+    /// [`MqoError::ResourceLimit`] instead of panicking.
+    pub fn try_build_with_threads(
+        ctx: DagContext,
+        queries: &[PlanNode],
+        rules: &RuleSet,
+        threads: usize,
+    ) -> Result<Self, MqoError> {
         let mut memo = Memo::new(ctx);
         for q in queries {
             let root = memo.insert_plan(q);
             memo.add_query_root(root);
         }
-        let expansion = expand_with(&mut memo, rules, threads);
+        let expansion = try_expand_with(&mut memo, rules, threads)?;
         let root = memo.build_batch_root();
         let query_roots = memo.roots();
         let entries = queries
@@ -178,7 +196,7 @@ impl BatchDag {
             })
             .collect();
         let elem_of_group = build_elem_of_group(&memo, &shareable);
-        BatchDag {
+        Ok(BatchDag {
             memo,
             rules: *rules,
             root,
@@ -193,7 +211,7 @@ impl BatchDag {
             expansion,
             topo: OnceLock::new(),
             uid: NEXT_BATCH_UID.fetch_add(1, Ordering::Relaxed),
-        }
+        })
     }
 
     /// The expanded (frozen) memo.
@@ -382,14 +400,38 @@ impl BatchDag {
     /// shareable universe is extended incrementally from the memo delta
     /// (new shareable groups append universe slots; existing slots keep
     /// their element index).
+    ///
+    /// # Panics
+    /// If the expansion outgrows the memo's expression cap; the fallible
+    /// variant is [`BatchDag::try_add_query_with_threads`].
     pub fn add_query_with_threads(&mut self, plan: &PlanNode, threads: usize) -> QueryTicket {
+        self.try_add_query_with_threads(plan, threads)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`BatchDag::add_query_with_threads`]: an expansion that
+    /// outgrows the memo's expression cap rewinds the memo to the
+    /// admission's savepoint and reports [`MqoError::ResourceLimit`],
+    /// leaving the batch as it was.
+    pub fn try_add_query_with_threads(
+        &mut self,
+        plan: &PlanNode,
+        threads: usize,
+    ) -> Result<QueryTicket, MqoError> {
         let sp = self.memo.savepoint();
         self.memo.delta_begin();
         let watermark = self.memo.exprs_allocated() as u32;
         let root = self.memo.insert_plan(plan);
         self.memo.add_query_root(root);
         let seeds = (watermark..self.memo.exprs_allocated() as u32).map(mqo_volcano::ExprId);
-        let stats = expand_seeded(&mut self.memo, &self.rules, threads, seeds);
+        let stats = match try_expand_seeded(&mut self.memo, &self.rules, threads, seeds) {
+            Ok(stats) => stats,
+            Err(limit) => {
+                self.memo.delta_take();
+                self.memo.truncate_to(&sp);
+                return Err(limit.into());
+            }
+        };
         self.root = self.memo.build_batch_root();
         let delta = self.memo.delta_take();
         self.expansion.passes += stats.passes;
@@ -410,7 +452,7 @@ impl BatchDag {
         // round's savepoint rollback must be able to unwind.
         fault::hit(FaultSite::AdmissionPrecommit);
         self.commit_evolution();
-        ticket
+        Ok(ticket)
     }
 
     /// Retires a query from the live batch. Its private expressions are

@@ -17,6 +17,7 @@
 use std::fmt;
 
 use mqo_volcano::logical::PlanNode;
+use mqo_volcano::rules::ExpansionLimit;
 use mqo_volcano::{ColId, DagContext, InstanceId};
 
 use crate::batch::QueryTicket;
@@ -103,6 +104,26 @@ pub enum MqoError {
     /// and the previously published snapshot stays live. Resubmitting is
     /// safe — the failure affected only that round.
     RoundFailed,
+    /// Expanding the batch outgrew a hard resource cap (today the memo's
+    /// expression cap, which a runaway rule or an oversized batch hits).
+    /// `Session::try_build` then has no batch to return;
+    /// `OptimizedBatch::try_add_query` rolls the batch back to its state
+    /// before the admission.
+    ResourceLimit {
+        /// What outgrew its cap.
+        what: &'static str,
+        /// The cap.
+        limit: usize,
+    },
+}
+
+impl From<ExpansionLimit> for MqoError {
+    fn from(e: ExpansionLimit) -> Self {
+        MqoError::ResourceLimit {
+            what: "memo expressions",
+            limit: e.limit,
+        }
+    }
 }
 
 impl fmt::Display for MqoError {
@@ -137,6 +158,10 @@ impl fmt::Display for MqoError {
                 f,
                 "admission round failed and was rolled back; the batch and published \
                  snapshot are unchanged — resubmit if desired"
+            ),
+            MqoError::ResourceLimit { what, limit } => write!(
+                f,
+                "resource limit exceeded: {what} past {limit} (runaway rule or oversized batch)"
             ),
         }
     }
@@ -234,5 +259,25 @@ impl PlanValidator {
         } else {
             Err(PlanFault::UnknownColumn { col })
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The expansion cap reaches the `try_*` surface as a typed error (the
+    /// stop itself is tested in `mqo_volcano::rules` with a small cap).
+    #[test]
+    fn expansion_limit_maps_to_resource_limit() {
+        let e = MqoError::from(ExpansionLimit { limit: 7 });
+        assert_eq!(
+            e,
+            MqoError::ResourceLimit {
+                what: "memo expressions",
+                limit: 7
+            }
+        );
+        assert!(e.to_string().contains("memo expressions past 7"));
     }
 }

@@ -124,8 +124,9 @@ impl SessionBuilder {
     ///
     /// # Panics
     ///
-    /// When no [`DagContext`] was supplied, the query list is empty, or a
-    /// query fails plan validation. The fallible variant is
+    /// When no [`DagContext`] was supplied, the query list is empty, a
+    /// query fails plan validation, or the expansion outgrows the memo's
+    /// expression cap. The fallible variant is
     /// [`SessionBuilder::try_build`].
     pub fn build(self) -> OptimizedBatch {
         self.try_build()
@@ -137,7 +138,8 @@ impl SessionBuilder {
     /// instead of panicking. Every plan is validated against the context
     /// (known table instances, resolvable column references, unambiguous
     /// aggregate outputs) *before* any memo work starts, so a rejected
-    /// build has no side effects.
+    /// build has no side effects. A batch whose expansion outgrows the
+    /// memo's expression cap is reported as [`MqoError::ResourceLimit`].
     ///
     /// ```
     /// use mqo_core::{MqoError, Session};
@@ -160,7 +162,7 @@ impl SessionBuilder {
                 .map_err(|fault| MqoError::InvalidPlan { query, fault })?;
         }
         let batch =
-            BatchDag::build_with_threads(ctx, &self.queries, &self.rules, self.config.threads);
+            BatchDag::try_build_with_threads(ctx, &self.queries, &self.rules, self.config.threads)?;
         Ok(OptimizedBatch {
             batch,
             cost_model: self.cost_model,
@@ -287,7 +289,8 @@ impl OptimizedBatch {
     ///
     /// # Panics
     ///
-    /// If the plan fails validation; the fallible variant is
+    /// If the plan fails validation or its expansion outgrows the memo's
+    /// expression cap; the fallible variant is
     /// [`OptimizedBatch::try_add_query`].
     pub fn add_query(&mut self, query: PlanNode) -> QueryTicket {
         self.try_add_query(query).unwrap_or_else(|e| panic!("{e}"))
@@ -295,7 +298,9 @@ impl OptimizedBatch {
 
     /// Fallible [`OptimizedBatch::add_query`]: validates the plan against
     /// the session's context first and rejects a malformed one as
-    /// [`MqoError::InvalidPlan`] with the batch untouched.
+    /// [`MqoError::InvalidPlan`] with the batch untouched. An admission
+    /// whose expansion outgrows the memo's expression cap is rolled back
+    /// and reported as [`MqoError::ResourceLimit`].
     ///
     /// ```
     /// # use mqo_catalog::{Catalog, TableBuilder};
@@ -323,9 +328,8 @@ impl OptimizedBatch {
         PlanValidator::new(self.batch.memo().ctx())
             .validate(&query)
             .map_err(|fault| MqoError::InvalidPlan { query: 0, fault })?;
-        Ok(self
-            .batch
-            .add_query_with_threads(&query, self.config.threads))
+        self.batch
+            .try_add_query_with_threads(&query, self.config.threads)
     }
 
     /// Retires the query behind `ticket` from the live batch, reclaiming

@@ -12,9 +12,10 @@
 //!
 //! Operator payloads (predicates, aggregate specs) are interned once into a
 //! dense operator arena: every expression stores a 4-byte `OpId`, and the
-//! hash-consing index is keyed on `(OpId, children)` — so the deep hash of
-//! a predicate is paid once per *distinct* operator, while the per-insert
-//! probe and every merge-time re-hash touch only small integer keys.
+//! hash-consing index is keyed on `(OpId, children)`. An insert (or an
+//! expansion probe) pays one deep hash of its operator to find the `OpId`;
+//! the index lookup and every merge-time re-hash touch only small integer
+//! keys, and each distinct operator is stored once.
 //! Expression children live in one flat arena (`ExprId` → offset range),
 //! so the memo performs no per-expression heap allocation beyond the
 //! arenas themselves.
@@ -181,7 +182,7 @@ pub struct Memo {
     /// Union-find over groups (index = GroupId.0).
     uf: Vec<u32>,
     /// Interned operator arena; `op_index` maps each distinct operator to
-    /// its dense id (the one deep hash per insert happens here).
+    /// its dense id (the one deep hash per insert or probe happens here).
     ops: Vec<LogicalOp>,
     op_index: HashMap<LogicalOp, OpId>,
     /// Per-expression interned operator.
@@ -210,9 +211,8 @@ pub struct Memo {
     sp_stack: Vec<u64>,
     next_sp_serial: u64,
     /// Monotone mutation counter: bumped on every new expression, union,
-    /// tombstone, truncation, and reset. Never decreases — two distinct
-    /// memo states observed by a consumer can never share a version, which
-    /// is what makes it safe as a compile-cache fingerprint component.
+    /// tombstone, truncation, and reset. Never decreases, so two distinct
+    /// memo states observed by a consumer never share a version.
     version: u64,
     /// The group produced by [`Memo::build_batch_root`], if built.
     batch_root: Option<GroupId>,
@@ -250,8 +250,9 @@ impl Memo {
         }
     }
 
-    /// Monotone mutation counter (see the field docs); suitable as a delta
-    /// epoch in compile-cache fingerprints.
+    /// Monotone mutation counter (see the field docs): equal versions mean
+    /// an unchanged memo, so a consumer can key state derived from the
+    /// memo (a compiled engine snapshot, a topological view) on it.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -417,12 +418,28 @@ impl Memo {
     /// under, if any (children are canonicalized the way [`Memo::insert`]
     /// would). Probing never mutates the memo.
     pub fn expr_id_of(&self, op: &LogicalOp, children: &[GroupId]) -> Option<ExprId> {
-        let mut ch: Vec<GroupId> = children.iter().map(|&c| self.find(c)).collect();
-        if let LogicalOp::Join(_) = op {
-            self.canonicalize_join_children(&mut ch);
-        }
+        self.expr_id_with(op, children, &mut Vec::new())
+    }
+
+    /// [`Memo::expr_id_of`] with the index key built in `key`, a buffer
+    /// the caller reuses across probes (the expansion keeps one per
+    /// generating thread), so a probe allocates nothing.
+    pub(crate) fn expr_id_with(
+        &self,
+        op: &LogicalOp,
+        children: &[GroupId],
+        key: &mut Vec<GroupId>,
+    ) -> Option<ExprId> {
         let &op_id = self.op_index.get(op)?;
-        self.index.get(&(op_id, ch)).copied()
+        key.clear();
+        key.extend(children.iter().map(|&c| self.find(c)));
+        if let LogicalOp::Join(_) = op {
+            self.canonicalize_join_children(key);
+        }
+        let probe = (op_id, std::mem::take(key));
+        let hit = self.index.get(&probe).copied();
+        *key = probe.1;
+        hit
     }
 
     /// Starts recording the expansion change log (clearing any prior
@@ -629,8 +646,8 @@ impl Memo {
         self.version += 1;
     }
 
-    /// Interns an operator payload, returning its dense id. This is the
-    /// single place a deep operator hash is paid per insert.
+    /// Interns an operator payload, returning its dense id. This is where
+    /// an insert pays its one deep operator hash.
     fn intern_op(&mut self, op: LogicalOp) -> OpId {
         if let Some(&id) = self.op_index.get(&op) {
             return id;
@@ -653,13 +670,15 @@ impl Memo {
     pub fn insert(
         &mut self,
         op: LogicalOp,
-        children: Vec<GroupId>,
+        mut children: Vec<GroupId>,
         target: Option<GroupId>,
     ) -> GroupId {
         if let Some(arity) = op.arity() {
             assert_eq!(children.len(), arity, "arity mismatch for {op:?}");
         }
-        let mut children: Vec<GroupId> = children.iter().map(|&c| self.find(c)).collect();
+        for c in children.iter_mut() {
+            *c = self.find(*c);
+        }
         if let LogicalOp::Join(_) = op {
             self.canonicalize_join_children(&mut children);
         }
@@ -701,20 +720,6 @@ impl Memo {
 
         // New expression.
         let eid = ExprId(self.expr_op.len() as u32);
-        let props = {
-            let op = &self.ops[op_id.0 as usize];
-            let child_props: Vec<&LogicalProps> = children
-                .iter()
-                .map(|&c| &self.groups[c.0 as usize].props)
-                .collect();
-            compute_props(
-                op,
-                &child_props,
-                &self.ctx,
-                |g| self.groups[self.find(g).0 as usize].props.rows,
-                |g| self.groups[self.find(g).0 as usize].props.width,
-            )
-        };
         self.expr_op.push(op_id);
         self.child_arena.extend_from_slice(&children);
         self.child_off.push(self.child_arena.len() as u32);
@@ -737,8 +742,23 @@ impl Memo {
                 t
             }
             None => {
+                // Only a fresh group reads the expression's properties; a
+                // targeted insert joins a group that already has them.
                 let gid = GroupId(self.groups.len() as u32);
-                let mut props = props;
+                let mut props = {
+                    let op = &self.ops[op_id.0 as usize];
+                    let child_props: Vec<&LogicalProps> = children
+                        .iter()
+                        .map(|&c| &self.groups[c.0 as usize].props)
+                        .collect();
+                    compute_props(
+                        op,
+                        &child_props,
+                        &self.ctx,
+                        |g| self.groups[self.find(g).0 as usize].props.rows,
+                        |g| self.groups[self.find(g).0 as usize].props.width,
+                    )
+                };
                 if let LogicalOp::Aggregate(spec) = &self.ops[op_id.0 as usize] {
                     // The aggregate's own output is the leaf of its region.
                     props.leaves = vec![Leaf::Agg(gid)];

@@ -18,7 +18,14 @@
 //!    `Candidate` programs (small insert scripts) without mutating
 //!    anything. This phase is embarrassingly parallel: with `threads > 1`
 //!    the frontier is split into contiguous chunks and fanned out over
-//!    `std::thread::scope` workers.
+//!    `std::thread::scope` workers. Most associativity pivots rediscover
+//!    what the memo already holds, so generation rejects them before
+//!    they are built. A pivot that would be a cross product is dropped
+//!    from its predicates' equi atoms alone. A pivot whose snapshot probe
+//!    finds both of its joins already interned in the right groups is
+//!    dropped too, and one whose lower join alone is interned commits
+//!    only its upper join. The probe is exact, because union-find only
+//!    coarsens during the commit (see `Pivot::emit`).
 //! 2. **Commit** — a single thread replays the candidates in frontier
 //!    order through [`Memo::insert`], which hash-conses, merges, and logs
 //!    every change. The commit order is a pure function of the frontier,
@@ -92,13 +99,37 @@ pub struct ExpansionStats {
     pub exprs: usize,
     /// Live groups after expansion.
     pub groups: usize,
-    /// Candidates generated across all rounds (commit replays each once).
+    /// Candidates that survived generation across all rounds: rule
+    /// applications the snapshot probe could not prove to be no-ops
+    /// (commit replays each once).
     pub candidates: usize,
 }
 
-/// Hard cap on memo size; expansion aborts (panics) beyond this, which
-/// indicates a runaway rule rather than a legitimate workload.
+/// Cap on allocated expression slots. A memo past it indicates a runaway
+/// rule or a batch too large to expand, not a workload worth planning.
 const MAX_EXPRS: usize = 500_000;
+
+/// Why an expansion stopped before its fixpoint: the memo outgrew the
+/// expression cap. The memo is left partially expanded (every committed
+/// insert is kept), so the caller discards it or rewinds it to a
+/// savepoint taken before the expansion.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExpansionLimit {
+    /// The cap on allocated expression slots that was exceeded.
+    pub limit: usize,
+}
+
+impl std::fmt::Display for ExpansionLimit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "memo exploded past {} expressions; runaway rule?",
+            self.limit
+        )
+    }
+}
+
+impl std::error::Error for ExpansionLimit {}
 
 /// The `MQO_THREADS` environment convention shared by the whole
 /// workspace: unset or unparsable means `1` (serial); `0` means
@@ -131,6 +162,9 @@ pub fn effective_threads(threads: usize, n_items: usize) -> usize {
 /// [`expand_with`] run; callers wanting the fan-out (e.g. `mqo-core`'s
 /// `Session`) pass an explicit thread count instead of an environment
 /// read.
+///
+/// # Panics
+/// If the memo outgrows the expression cap (see [`try_expand_with`]).
 pub fn expand(memo: &mut Memo, rules: &RuleSet) -> ExpansionStats {
     expand_with(memo, rules, 1)
 }
@@ -138,11 +172,25 @@ pub fn expand(memo: &mut Memo, rules: &RuleSet) -> ExpansionStats {
 /// Expands the memo to fixpoint under `rules` with an explicit worker
 /// count for the candidate-generation phase. The resulting memo is
 /// bit-identical at every `threads` value; only the wall-clock changes.
+///
+/// # Panics
+/// If the memo outgrows the expression cap; the fallible variant is
+/// [`try_expand_with`].
 pub fn expand_with(memo: &mut Memo, rules: &RuleSet, threads: usize) -> ExpansionStats {
+    try_expand_with(memo, rules, threads).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`expand_with`]: stops at the expression cap and reports
+/// [`ExpansionLimit`] instead of panicking.
+pub fn try_expand_with(
+    memo: &mut Memo,
+    rules: &RuleSet,
+    threads: usize,
+) -> Result<ExpansionStats, ExpansionLimit> {
     // Round 1 processes every live expression; later rounds only what the
     // change log implicates.
     let frontier: Vec<ExprId> = memo.expr_ids().collect();
-    expand_frontier(memo, rules, threads, frontier)
+    expand_frontier(memo, rules, threads, frontier, MAX_EXPRS)
 }
 
 /// Expands the memo to fixpoint under `rules`, seeding the first round
@@ -155,12 +203,27 @@ pub fn expand_with(memo: &mut Memo, rules: &RuleSet, threads: usize) -> Expansio
 /// selects/aggregates against *all* their live siblings).
 ///
 /// Dead or out-of-range seeds are ignored.
+///
+/// # Panics
+/// If the memo outgrows the expression cap; the fallible variant is
+/// [`try_expand_seeded`].
 pub fn expand_seeded(
     memo: &mut Memo,
     rules: &RuleSet,
     threads: usize,
     seeds: impl IntoIterator<Item = ExprId>,
 ) -> ExpansionStats {
+    try_expand_seeded(memo, rules, threads, seeds).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`expand_seeded`]: stops at the expression cap and reports
+/// [`ExpansionLimit`] instead of panicking.
+pub fn try_expand_seeded(
+    memo: &mut Memo,
+    rules: &RuleSet,
+    threads: usize,
+    seeds: impl IntoIterator<Item = ExprId>,
+) -> Result<ExpansionStats, ExpansionLimit> {
     let n = memo.exprs_allocated() as u32;
     let mut frontier: Vec<ExprId> = seeds
         .into_iter()
@@ -168,20 +231,30 @@ pub fn expand_seeded(
         .collect();
     frontier.sort_unstable();
     frontier.dedup();
-    expand_frontier(memo, rules, threads, frontier)
+    expand_frontier(memo, rules, threads, frontier, MAX_EXPRS)
 }
 
-/// The shared fixpoint loop behind [`expand_with`] and [`expand_seeded`];
-/// `frontier` is the (sorted, deduplicated, live) round-1 work list.
+/// The shared fixpoint loop behind every public entry point; `frontier`
+/// is the (sorted, deduplicated, live) round-1 work list. Stops with
+/// [`ExpansionLimit`] once more than `max_exprs` expression slots are
+/// allocated.
 fn expand_frontier(
     memo: &mut Memo,
     rules: &RuleSet,
     threads: usize,
     mut frontier: Vec<ExprId>,
-) -> ExpansionStats {
+    max_exprs: usize,
+) -> Result<ExpansionStats, ExpansionLimit> {
     let mut stats = ExpansionStats::default();
     // Per-frontier-entry candidate buffers, reused across rounds.
     let mut candidates: Vec<Vec<Candidate>> = Vec::new();
+    let over_cap = |memo: &mut Memo| {
+        let over = memo.exprs_allocated() > max_exprs;
+        if over {
+            memo.log_stop();
+        }
+        over
+    };
 
     while !frontier.is_empty() {
         stats.passes += 1;
@@ -197,10 +270,9 @@ fn expand_frontier(
             for cand in slot.drain(..) {
                 commit(memo, cand);
             }
-            assert!(
-                memo.exprs_allocated() <= MAX_EXPRS,
-                "memo exploded past {MAX_EXPRS} expressions; runaway rule?"
-            );
+            if over_cap(memo) {
+                return Err(ExpansionLimit { limit: max_exprs });
+            }
         }
 
         // Phase 3: pairwise subsumption over this round's new/rewritten
@@ -221,10 +293,9 @@ fn expand_frontier(
                     _ => {}
                 }
             }
-            assert!(
-                memo.exprs_allocated() <= MAX_EXPRS,
-                "memo exploded past {MAX_EXPRS} expressions; runaway rule?"
-            );
+            if over_cap(memo) {
+                return Err(ExpansionLimit { limit: max_exprs });
+            }
         }
 
         // Next frontier from the change log: new expressions, rewritten
@@ -243,7 +314,7 @@ fn expand_frontier(
 
     stats.exprs = memo.n_exprs();
     stats.groups = memo.n_groups();
-    stats
+    Ok(stats)
 }
 
 /// The subsumption frontier of a round: the per-expression frontier plus
@@ -326,8 +397,9 @@ fn generate_all(
     }
     let workers = effective_threads(threads, frontier.len());
     if workers <= 1 {
+        let mut key = Vec::new();
         for (slot, &e) in out.iter_mut().zip(frontier.iter()) {
-            generate(memo, rules, e, slot);
+            generate(memo, rules, e, slot, &mut key);
         }
         return;
     }
@@ -335,22 +407,30 @@ fn generate_all(
     std::thread::scope(|scope| {
         for (items, slots) in frontier.chunks(chunk).zip(out.chunks_mut(chunk)) {
             scope.spawn(move || {
+                let mut key = Vec::new();
                 for (&e, slot) in items.iter().zip(slots.iter_mut()) {
-                    generate(memo, rules, e, slot);
+                    generate(memo, rules, e, slot, &mut key);
                 }
             });
         }
     });
 }
 
-/// Matches one expression against the per-expression rules.
-fn generate(memo: &Memo, rules: &RuleSet, e: ExprId, out: &mut Vec<Candidate>) {
+/// Matches one expression against the per-expression rules. `key` is the
+/// generating thread's scratch buffer for the snapshot probe.
+fn generate(
+    memo: &Memo,
+    rules: &RuleSet,
+    e: ExprId,
+    out: &mut Vec<Candidate>,
+    key: &mut Vec<GroupId>,
+) {
     if !memo.is_alive(e) {
         return;
     }
     match memo.op(e) {
         LogicalOp::Join(_) if rules.join_associativity => {
-            gen_associativity(memo, e, out);
+            gen_associativity(memo, e, out, key);
         }
         LogicalOp::Select(_) => {
             if rules.select_pushdown {
@@ -367,8 +447,9 @@ fn generate(memo: &Memo, rules: &RuleSet, e: ExprId, out: &mut Vec<Candidate>) {
 /// Join associativity: for `(A ⋈ B) ⋈ C` in a group, derive `A ⋈ (B ⋈ C)`
 /// into the same group (and the mirrored variant). Predicate atoms are
 /// pooled and redistributed by column coverage; rewrites that would create a
-/// predicate-less (cross-product) join are skipped.
-fn gen_associativity(memo: &Memo, e: ExprId, out: &mut Vec<Candidate>) {
+/// predicate-less (cross-product) join are skipped, and so are rewrites
+/// the snapshot already holds (see [`Pivot::emit`]).
+fn gen_associativity(memo: &Memo, e: ExprId, out: &mut Vec<Candidate>, key: &mut Vec<GroupId>) {
     let LogicalOp::Join(top_pred) = memo.op(e) else {
         return;
     };
@@ -381,9 +462,10 @@ fn gen_associativity(memo: &Memo, e: ExprId, out: &mut Vec<Candidate>) {
         if let LogicalOp::Join(low_pred) = memo.op(le) {
             let lc = memo.children(le);
             let (a, b) = (lc[0], lc[1]);
-            gen_pivot(memo, target, top_pred, low_pred, a, b, r, out);
+            let mut pivot = Pivot::new(target, top_pred, low_pred);
+            pivot.emit(memo, a, b, r, out, key);
             // Commutativity of the lower join: also pivot keeping B.
-            gen_pivot(memo, target, top_pred, low_pred, b, a, r, out);
+            pivot.emit(memo, b, a, r, out, key);
         }
     }
 
@@ -393,75 +475,143 @@ fn gen_associativity(memo: &Memo, e: ExprId, out: &mut Vec<Candidate>) {
         if let LogicalOp::Join(low_pred) = memo.op(re) {
             let rc = memo.children(re);
             let (b, c) = (rc[0], rc[1]);
+            let mut pivot = Pivot::new(target, top_pred, low_pred);
             // A ⋈ (B ⋈ C)  →  (A ⋈ B) ⋈ C, i.e. pivot with "kept" side c.
-            gen_pivot(memo, target, top_pred, low_pred, c, b, l, out);
-            gen_pivot(memo, target, top_pred, low_pred, b, c, l, out);
+            pivot.emit(memo, c, b, l, out, key);
+            pivot.emit(memo, b, c, l, out, key);
         }
     }
 }
 
-/// Emits `kept ⋈ (other ⋈ outer)` inside `target`, redistributing the atoms
-/// of `top ∧ low` between the new lower join and the new top join.
-#[allow(clippy::too_many_arguments)]
-fn gen_pivot(
-    memo: &Memo,
+/// One join-over-join match of [`gen_associativity`]: the upper join's
+/// group and the two predicates whose atoms a pivot redistributes. Both
+/// pivots of a match (one per orientation of the lower join) share the
+/// pooled predicate `top ∧ low`, built on first use.
+struct Pivot<'m> {
     target: GroupId,
-    top_pred: &Predicate,
-    low_pred: &Predicate,
-    kept: GroupId,
-    other: GroupId,
-    outer: GroupId,
-    out: &mut Vec<Candidate>,
-) {
-    if memo.find(other) == memo.find(outer) || memo.find(kept) == memo.find(outer) {
-        // Degenerate pivot (shared view on both sides); skip.
-        return;
-    }
-    let pool = top_pred.and(low_pred);
-    let mut lower = Predicate::none();
-    let mut upper = Predicate::none();
-    let covered_by_lower =
-        |memo: &Memo, col: ColId| memo.group_covers(other, col) || memo.group_covers(outer, col);
-    for (col, c) in &pool.constraints {
-        if covered_by_lower(memo, *col) {
-            lower.add_constraint(*col, c.clone());
-        } else {
-            upper.add_constraint(*col, c.clone());
+    top_pred: &'m Predicate,
+    low_pred: &'m Predicate,
+    pool: Option<Predicate>,
+}
+
+impl<'m> Pivot<'m> {
+    fn new(target: GroupId, top_pred: &'m Predicate, low_pred: &'m Predicate) -> Self {
+        Pivot {
+            target,
+            top_pred,
+            low_pred,
+            pool: None,
         }
     }
-    for &(x, y) in &pool.equi {
-        if covered_by_lower(memo, x) && covered_by_lower(memo, y) {
-            lower.add_equi(x, y);
-        } else {
-            upper.add_equi(x, y);
+
+    /// Emits `kept ⋈ (other ⋈ outer)` inside `target`, redistributing the
+    /// atoms of `top ∧ low` between the new lower join and the new top
+    /// join — unless the pivot would be a cross product or the snapshot
+    /// proves its commit a no-op.
+    fn emit(
+        &mut self,
+        memo: &Memo,
+        kept: GroupId,
+        other: GroupId,
+        outer: GroupId,
+        out: &mut Vec<Candidate>,
+        key: &mut Vec<GroupId>,
+    ) {
+        if memo.find(other) == memo.find(outer) || memo.find(kept) == memo.find(outer) {
+            // Degenerate pivot (shared view on both sides); skip.
+            return;
         }
-    }
-    // No cross products: the new lower join must be connected by at least
-    // one equi atom, and so must the new top.
-    if lower.equi.is_empty() || upper.equi.is_empty() {
-        return;
-    }
-    // The commit replays: insert the lower join, then the upper join into
-    // `target` (Memo::insert refuses the upper step if the lower group has
-    // become `target` itself — the old "would nest the target inside
-    // itself" guard). The distinctness guards re-check the degeneracy
-    // conditions at commit time, since merges earlier in the round may
-    // have unified the snapshot's groups.
-    out.push(Candidate {
-        guards: vec![(other, outer), (kept, outer)],
-        steps: vec![
-            Step {
-                op: LogicalOp::Join(lower),
+        let covered_by_lower =
+            |col: ColId| memo.group_covers(other, col) || memo.group_covers(outer, col);
+        // No cross products: the new lower join must be connected by at
+        // least one equi atom, and so must the new top. The pool's equi
+        // atoms are exactly `top.equi ∪ low.equi`, so this is decided
+        // before the pool and the redistributed predicates are built.
+        let (mut lower_joined, mut upper_joined) = (false, false);
+        for &(x, y) in self.top_pred.equi.iter().chain(&self.low_pred.equi) {
+            if covered_by_lower(x) && covered_by_lower(y) {
+                lower_joined = true;
+            } else {
+                upper_joined = true;
+            }
+        }
+        if !(lower_joined && upper_joined) {
+            return;
+        }
+        let (top_pred, low_pred) = (self.top_pred, self.low_pred);
+        let pool = self.pool.get_or_insert_with(|| top_pred.and(low_pred));
+        let mut lower = Predicate::none();
+        let mut upper = Predicate::none();
+        for (col, c) in &pool.constraints {
+            if covered_by_lower(*col) {
+                lower.add_constraint(*col, c.clone());
+            } else {
+                upper.add_constraint(*col, c.clone());
+            }
+        }
+        for &(x, y) in &pool.equi {
+            if covered_by_lower(x) && covered_by_lower(y) {
+                lower.add_equi(x, y);
+            } else {
+                upper.add_equi(x, y);
+            }
+        }
+        let lower = LogicalOp::Join(lower);
+        let upper = LogicalOp::Join(upper);
+        // Snapshot probe. Skip the candidate when both commit steps would
+        // hit existing expressions in the right groups; when only the
+        // lower join is interned (in `gl`), commit just the upper step
+        // over `[kept, gl]`. This is exact: union-find only coarsens during
+        // the commit, so what is equal (or interned under the same key) in
+        // the snapshot still is at commit time. The lower step would land
+        // on `find(gl)`, and the upper step either nests `target` inside
+        // itself (refused by `Memo::insert`) or finds its expression owned
+        // by `target`. A merge that tombstones an interned expression as a
+        // duplicate leaves its twin under the same key in the merged
+        // group. The one way an interned expression can leave the index
+        // mid-round without a twin is a self-reference tombstone, and the
+        // lower join cannot become one: a join group's leaves strictly
+        // contain each child's, and every rewrite keeps the leaf set of
+        // the group it lands in, so the lower join's group never merges
+        // into `other` or `outer`.
+        let mut group_of_join = |op: &LogicalOp, a: GroupId, b: GroupId| {
+            memo.expr_id_with(op, &[a, b], key)
+                .map(|e| memo.group_of(e))
+        };
+        let lower_ref = match group_of_join(&lower, other, outer) {
+            Some(gl) => {
+                let t = memo.find(self.target);
+                if t == memo.find(kept) || t == gl || group_of_join(&upper, kept, gl) == Some(t) {
+                    return;
+                }
+                ChildRef::Group(gl)
+            }
+            None => ChildRef::Step(0),
+        };
+        // The commit replays the lower join (unless interned), then the
+        // upper join into `target` (Memo::insert refuses the upper step
+        // if the lower group has become `target` itself — the old "would
+        // nest the target inside itself" guard). The distinctness guards
+        // re-check the degeneracy conditions at commit time, since merges
+        // earlier in the round may have unified the snapshot's groups.
+        let mut steps = Vec::with_capacity(2);
+        if let ChildRef::Step(_) = lower_ref {
+            steps.push(Step {
+                op: lower,
                 children: vec![ChildRef::Group(other), ChildRef::Group(outer)],
                 target: None,
-            },
-            Step {
-                op: LogicalOp::Join(upper),
-                children: vec![ChildRef::Group(kept), ChildRef::Step(0)],
-                target: Some(target),
-            },
-        ],
-    });
+            });
+        }
+        steps.push(Step {
+            op: upper,
+            children: vec![ChildRef::Group(kept), lower_ref],
+            target: Some(self.target),
+        });
+        out.push(Candidate {
+            guards: vec![(other, outer), (kept, outer)],
+            steps,
+        });
+    }
 }
 
 /// Select push-down: `σ_p(A ⋈_j B)` derives `σ_pA(A) ⋈_{j ∧ p_rest} σ_pB(B)`
@@ -1087,6 +1237,54 @@ mod tests {
             })
             .expect("3-way subchain group");
         assert_eq!(memo.group_exprs(abc).count(), 2);
+    }
+
+    /// The fixpoint stops at the expression cap with a typed error instead
+    /// of panicking, leaves the memo consistent, and a savepoint taken
+    /// before it rewinds the partial expansion.
+    #[test]
+    fn expansion_stops_at_the_expression_cap() {
+        let chain4 = |ctx: &mut DagContext| {
+            let [a, b, c, d] = ["a", "b", "c", "d"].map(|t| ctx.instance_by_name(t, 0));
+            let p_ab = Predicate::join(ctx.col(a, "a_next"), ctx.col(b, "b_key"));
+            let p_bc = Predicate::join(ctx.col(b, "b_next"), ctx.col(c, "c_key"));
+            let p_cd = Predicate::join(ctx.col(c, "c_next"), ctx.col(d, "d_key"));
+            PlanNode::scan(a)
+                .join(PlanNode::scan(b), p_ab)
+                .join(PlanNode::scan(c), p_bc)
+                .join(PlanNode::scan(d), p_cd)
+        };
+        let mut ctx = chain_ctx();
+        let q = chain4(&mut ctx);
+        let mut memo = Memo::new(ctx);
+        memo.insert_plan(&q);
+        let before = (memo.exprs_allocated(), memo.n_groups(), memo.topo_view());
+        let sp = memo.savepoint();
+        let cap = memo.exprs_allocated() + 1;
+        let frontier: Vec<ExprId> = memo.expr_ids().collect();
+        let err = expand_frontier(&mut memo, &RuleSet::joins_only(), 1, frontier, cap)
+            .expect_err("a chain of four outgrows one extra expression");
+        assert_eq!(err, ExpansionLimit { limit: cap });
+        assert!(err.to_string().contains(&format!("past {cap} expressions")));
+        assert!(memo.exprs_allocated() > cap);
+        memo.check_consistency();
+        memo.truncate_to(&sp);
+        assert_eq!(
+            (memo.exprs_allocated(), memo.n_groups(), memo.topo_view()),
+            before
+        );
+
+        // Under a cap it never reaches, the entry matches the public one.
+        let frontier: Vec<ExprId> = memo.expr_ids().collect();
+        let capped = expand_frontier(&mut memo, &RuleSet::joins_only(), 1, frontier, 1_000)
+            .expect("ten groups fit under the cap");
+        let mut ctx = chain_ctx();
+        let q = chain4(&mut ctx);
+        let mut fresh = Memo::new(ctx);
+        fresh.insert_plan(&q);
+        let uncapped = try_expand_with(&mut fresh, &RuleSet::joins_only(), 1).unwrap();
+        assert_eq!(capped.candidates, uncapped.candidates);
+        assert_eq!(memo.topo_view(), fresh.topo_view());
     }
 
     #[test]

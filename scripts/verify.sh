@@ -31,9 +31,10 @@
 # serving layer) throughput baselines (all carrying per-series `threads`
 # fields) to BENCH_*.json at the repo root. Any BENCH_*.json baseline
 # missing a `threads` field fails the run, as does a missing
-# BENCH_scale.json, one without the scale-10k tier, a missing
-# BENCH_serve.json, or a BENCH_serve.json without the degraded_round
-# series and its certified_gap field.
+# BENCH_scale.json, one without the scale-10k tier, a
+# BENCH_memo_expand.json without the scale-10k entry or its candidates
+# field, a missing BENCH_serve.json, or a BENCH_serve.json without the
+# degraded_round series and its certified_gap field.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +66,21 @@ check_bench_baselines() {
     fi
     if ! grep -q '"scale-10k"' BENCH_scale.json; then
         echo "ERROR: BENCH_scale.json is missing the scale-10k tier" >&2
+        exit 1
+    fi
+    # The memo_expand baseline backs the expansion-pruning numbers in the
+    # README and ROADMAP: it must carry the scale-10k build entry, and
+    # that entry its surviving-candidate count next to `exprs`.
+    if [[ ! -e BENCH_memo_expand.json ]]; then
+        echo "ERROR: BENCH_memo_expand.json is missing; record it with scripts/verify.sh --bench-smoke" >&2
+        exit 1
+    fi
+    if ! grep -q '"workload": "scale-10k"' BENCH_memo_expand.json; then
+        echo "ERROR: BENCH_memo_expand.json is missing the scale-10k entry" >&2
+        exit 1
+    fi
+    if ! grep '"workload": "scale-10k"' BENCH_memo_expand.json | grep -q '"candidates"'; then
+        echo "ERROR: BENCH_memo_expand.json scale-10k entry is missing the candidates field" >&2
         exit 1
     fi
     # The serve baseline backs the serving layer's admission-vs-rebuild
@@ -102,7 +118,7 @@ bench_smoke() {
         echo "==> bc_oracle (3 samples, recording BENCH_bc_oracle.json)"
         MQO_BENCH_SAMPLES=3 MQO_BENCH_JSON="$PWD/BENCH_bc_oracle.json" \
             cargo bench --offline -q -p mqo-bench --bench bc_oracle
-        echo "==> memo_expand (3 samples, recording BENCH_memo_expand.json)"
+        echo "==> memo_expand (3 samples, recording BENCH_memo_expand.json incl. the scale-10k entry)"
         MQO_BENCH_SAMPLES=3 MQO_BENCH_JSON="$PWD/BENCH_memo_expand.json" \
             cargo bench --offline -q -p mqo-bench --bench memo_expand
         echo "==> opt_time (3 samples, recording BENCH_opt_time.json extract series)"
