@@ -19,14 +19,17 @@
 //! Set `MQO_BENCH_JSON=<path>` to record the series as a JSON baseline
 //! (`scripts/verify.sh --bench-smoke` writes `BENCH_scale.json` at the
 //! repo root this way). Every entry carries a `threads` field —
-//! `verify.sh` refuses baselines without one. Knobs: `MQO_BENCH_SAMPLES`
+//! `verify.sh` refuses baselines without one — and the run's `bc_calls`
+//! and `bc_replays` (oracle calls, and how many of them cross-round cone
+//! replay answered); `verify.sh` also refuses a scale-10k entry without
+//! `bc_replays`. Knobs: `MQO_BENCH_SAMPLES`
 //! (zero-dependency harness, no criterion — the build is offline).
 
 use std::time::Duration;
 
 use mqo_core::config::{DecompositionKind, MqoConfig};
 use mqo_core::session::{OptimizedBatch, Session};
-use mqo_core::strategies::Strategy;
+use mqo_core::strategies::{RunReport, Strategy};
 use mqo_tpcd::workloads::{generate, Shape, WorkloadSpec};
 use mqo_volcano::cost::DiskCostModel;
 
@@ -39,6 +42,8 @@ struct ScaleResult {
     candidates: usize,
     threads: usize,
     materializations: usize,
+    bc_calls: u64,
+    bc_replays: u64,
     opt_secs: f64,
     extract_secs: f64,
 }
@@ -72,12 +77,13 @@ fn build(spec: &WorkloadSpec) -> OptimizedBatch {
 /// Runs `samples` measured repetitions (after one warmup) and reports the
 /// median internal `opt_time` / `extract_time` — the phase timings the
 /// reports measure around node selection and consolidated-plan extraction
-/// only, so neither metric contaminates the other.
+/// only, so neither metric contaminates the other — plus the last run's
+/// report, whose counters are the same on every run.
 fn measure(
     session: &OptimizedBatch,
     config: MqoConfig,
     samples: usize,
-) -> (Duration, Duration, usize, usize) {
+) -> (Duration, Duration, RunReport) {
     let _warmup = session.run_with(Strategy::MarginalGreedy, config);
     let mut opts = Vec::with_capacity(samples);
     let mut extracts = Vec::with_capacity(samples);
@@ -91,12 +97,7 @@ fn measure(
     opts.sort_unstable();
     extracts.sort_unstable();
     let report = report.expect("samples >= 1");
-    (
-        opts[opts.len() / 2],
-        extracts[extracts.len() / 2],
-        report.candidates,
-        report.materialized.len(),
-    )
+    (opts[opts.len() / 2], extracts[extracts.len() / 2], report)
 }
 
 fn record(
@@ -108,21 +109,23 @@ fn record(
     config: MqoConfig,
     samples: usize,
 ) {
-    let (opt, extract, candidates, materializations) = measure(session, config, samples);
+    let (opt, extract, report) = measure(session, config, samples);
     let r = ScaleResult {
         mode,
         tier,
         shape: spec.shape.name(),
         queries: spec.queries,
         universe: session.universe_size(),
-        candidates,
+        candidates: report.candidates,
         threads: config.threads,
-        materializations,
+        materializations: report.materialized.len(),
+        bc_calls: report.bc_calls,
+        bc_replays: report.bc_replays,
         opt_secs: opt.as_secs_f64(),
         extract_secs: extract.as_secs_f64(),
     };
     println!(
-        "scale/{mode}/{tier}/{}/q{}/t{}: universe {} candidates {} opt {} extract {} ({} materializations)",
+        "scale/{mode}/{tier}/{}/q{}/t{}: universe {} candidates {} opt {} extract {} ({} materializations, {} bc calls, {} replayed)",
         r.shape,
         r.queries,
         r.threads,
@@ -131,6 +134,8 @@ fn record(
         fmt_duration(opt),
         fmt_duration(extract),
         r.materializations,
+        r.bc_calls,
+        r.bc_replays,
     );
     results.push(r);
 }
@@ -262,7 +267,7 @@ fn main() {
             .iter()
             .map(|r| {
                 format!(
-                    "    {{\"mode\": \"{}\", \"tier\": \"{}\", \"shape\": \"{}\", \"queries\": {}, \"universe\": {}, \"candidates\": {}, \"threads\": {}, \"materializations\": {}, \"opt_secs\": {:.9}, \"extract_secs\": {:.9}}}",
+                    "    {{\"mode\": \"{}\", \"tier\": \"{}\", \"shape\": \"{}\", \"queries\": {}, \"universe\": {}, \"candidates\": {}, \"threads\": {}, \"materializations\": {}, \"bc_calls\": {}, \"bc_replays\": {}, \"opt_secs\": {:.9}, \"extract_secs\": {:.9}}}",
                     r.mode,
                     r.tier,
                     r.shape,
@@ -271,6 +276,8 @@ fn main() {
                     r.candidates,
                     r.threads,
                     r.materializations,
+                    r.bc_calls,
+                    r.bc_replays,
                     r.opt_secs,
                     r.extract_secs,
                 )

@@ -44,6 +44,36 @@
 //! the intersection of the batch once, then answers every candidate from a
 //! minimal overlay.
 //!
+//! # Cross-round replay
+//!
+//! A greedy round re-scores every candidate `X ∪ {x}`, yet the pick
+//! committed between two rounds changes only a few cones. Each handle
+//! therefore keeps a per-element cone record of its distance-1 overlays
+//! (`base △ {e}`): the commit generation, the cone's popped dense groups
+//! minus the root, `Δ` before the root correction, and the overlay `use`
+//! of the root's child states inside the cone. The record table is
+//! allocated on the handle's first distance-1 evaluation; the records'
+//! lists share one flat log, compacted in place whenever it has doubled
+//! since the last compaction. Each incremental commit stamps every group
+//! it pops with a new generation; a full-solve rebase raises a floor
+//! generation that drops every record. A record made at or above the floor, none of
+//! whose groups carries a later stamp, answers its candidate as
+//! `base_total + (Δ + (root′ − base_compute[root]))`, where `root′`
+//! re-solves only the root over the current `base_use` with the recorded
+//! child uses overriding.
+//!
+//! Why it is exact: the cone reads its groups' own base values, their
+//! membership bits and their children's base `use`. None of them lies in
+//! a group a commit has touched since the record was made, because a
+//! child whose `use` changed pushed its parents into that commit's cone,
+//! so those parents are stamped too. The root is the only group that
+//! reads values from outside the cone; it is re-solved, and it adds
+//! nothing to `Δ` inside the loop, so the replay repeats the overlay's
+//! arithmetic in the overlay's order and returns the same bits. Replays
+//! resolve on the calling thread before the sharded fan-out (see
+//! [`BestCostEngine::bc_many`]), so every thread count sees the same
+//! replays; [`BestCostEngine::replayed_evals`] counts them.
+//!
 //! # Sharded evaluation
 //!
 //! All of the mutable per-evaluation state (overlay arenas, epoch stamps,
@@ -138,6 +168,202 @@ impl EngineScratch {
     }
 }
 
+/// The dirty cone of one distance-1 overlay (`base △ {elem}`), kept so a
+/// later round can answer the same candidate without re-solving it (see
+/// the module docs, "Cross-round replay"). Its two lists are index ranges
+/// into the [`ConeLog`] that holds the record, so recording a cone
+/// allocates nothing once the log has grown.
+#[derive(Clone, Copy, Debug, Default)]
+struct ConeRecord {
+    /// Commit generation the record was made at (0: never recorded).
+    generation: u64,
+    /// The overlay's `Δ` before the root correction.
+    delta: f64,
+    /// Whether the cone reached the root.
+    reached_root: bool,
+    /// The cone's popped dense groups, minus the root.
+    groups: (u32, u32),
+    /// Overlay `use` of the root's child states that lie in the cone.
+    root_uses: (u32, u32),
+}
+
+/// Cone records in the making and the flat lists of every record. Each
+/// group list is preceded by a two-word header, its element and its
+/// length, so [`ReplayTable::compact`] can walk the lists in order.
+#[derive(Debug, Default)]
+struct ConeLog {
+    /// Records not yet applied to a [`ReplayTable`], in the order made.
+    made: Vec<(u32, ConeRecord)>,
+    groups: Vec<u32>,
+    root_uses: Vec<(u32, f64)>,
+}
+
+impl ConeLog {
+    fn groups(&self, rec: &ConeRecord) -> &[u32] {
+        &self.groups[rec.groups.0 as usize..rec.groups.1 as usize]
+    }
+
+    fn root_uses(&self, rec: &ConeRecord) -> &[(u32, f64)] {
+        &self.root_uses[rec.root_uses.0 as usize..rec.root_uses.1 as usize]
+    }
+}
+
+/// A handle's per-element cone records and the commit stamps that
+/// invalidate them. Allocated on the handle's first distance-1 evaluation;
+/// until then every field is empty and commits skip the stamping.
+#[derive(Debug, Default)]
+struct ReplayTable {
+    /// Current commit generation (1 at allocation, bumped per commit).
+    generation: u64,
+    /// Records made before this generation are dead: a full-solve rebase
+    /// moved the base arbitrarily far.
+    floor: u64,
+    /// Per dense group: the generation of the last commit that popped it.
+    touched: Vec<u64>,
+    /// Per universe element: its latest cone record.
+    records: Vec<ConeRecord>,
+    /// The records' lists, plus the lists of replaced records until
+    /// [`Self::compact`]. Serial overlays record straight into it.
+    log: ConeLog,
+    /// Length of the log's lists after the last compaction.
+    compacted_len: usize,
+    /// Evaluations answered by replay.
+    replays: u64,
+}
+
+impl ReplayTable {
+    fn is_allocated(&self) -> bool {
+        !self.records.is_empty()
+    }
+
+    fn allocate(&mut self, universe: usize, n_groups: usize) {
+        self.generation = 1;
+        self.floor = 1;
+        self.touched = vec![0; n_groups];
+        self.records = vec![ConeRecord::default(); universe];
+        // Start the lists past the allocator's small size classes. Grown
+        // from empty, every handle passed through them, and on a service
+        // whose reader spins up a handle per read that churn made the
+        // concurrent writer wait on the allocator's locks (6× the
+        // voluntary context switches on the serve-churn benchmark).
+        self.log.groups.reserve(4 * universe);
+        self.log.root_uses.reserve(universe);
+    }
+
+    /// The log distance-1 overlays record into: the table's own once it
+    /// is allocated.
+    fn log(&mut self) -> Option<&mut ConeLog> {
+        self.is_allocated().then_some(&mut self.log)
+    }
+
+    /// Starts a commit and returns its stamp (0 while unallocated: no
+    /// record exists to invalidate).
+    fn begin_commit(&mut self) -> u64 {
+        if !self.is_allocated() {
+            return 0;
+        }
+        self.generation += 1;
+        self.generation
+    }
+
+    /// Drops every record (a full-solve rebase).
+    fn drop_all(&mut self) {
+        if self.is_allocated() {
+            self.generation += 1;
+            self.floor = self.generation;
+        }
+    }
+
+    /// `elem`'s record, if no commit since it was made touched its cone.
+    /// The cone's groups are scanned from the top: a commit stamps the
+    /// groups above its pick, which a stale cone most likely shares.
+    fn live(&self, elem: usize) -> Option<&ConeRecord> {
+        let rec = self.records.get(elem)?;
+        let fresh = rec.generation >= self.floor
+            && self
+                .log
+                .groups(rec)
+                .iter()
+                .rev()
+                .all(|&g| self.touched[g as usize] <= rec.generation);
+        fresh.then_some(rec)
+    }
+
+    /// Appends a worker's log to the table's own, then applies it.
+    fn merge(&mut self, worker: &mut ConeLog) {
+        let g0 = self.log.groups.len() as u32;
+        let u0 = self.log.root_uses.len() as u32;
+        self.log.groups.append(&mut worker.groups);
+        self.log.root_uses.append(&mut worker.root_uses);
+        self.log
+            .made
+            .extend(worker.made.drain(..).map(|(elem, mut rec)| {
+                rec.groups = (rec.groups.0 + g0, rec.groups.1 + g0);
+                rec.root_uses = (rec.root_uses.0 + u0, rec.root_uses.1 + u0);
+                (elem, rec)
+            }));
+        self.apply();
+    }
+
+    /// Makes the records in the log each element's record, in the order
+    /// they were made (a later record of an element replaces an earlier
+    /// one), and compacts once the lists have doubled since the last
+    /// compaction.
+    fn apply(&mut self) {
+        // Every position stored in a record is at most the list's length.
+        assert!(
+            self.log.groups.len() <= u32::MAX as usize
+                && self.log.root_uses.len() <= u32::MAX as usize,
+            "cone log outgrew its u32 positions"
+        );
+        for (elem, rec) in self.log.made.drain(..) {
+            self.records[elem as usize] = ConeRecord {
+                generation: self.generation,
+                ..rec
+            };
+        }
+        let len = self.log.groups.len() + self.log.root_uses.len();
+        if len > 2 * self.compacted_len + self.records.len() {
+            self.compact();
+        }
+    }
+
+    /// Slides the lists of every live record down over the lists of
+    /// replaced records, in log order, and forgets records below the
+    /// floor. Each list keeps its position relative to the others, so
+    /// every copy moves down.
+    fn compact(&mut self) {
+        let ConeLog {
+            groups, root_uses, ..
+        } = &mut self.log;
+        let (mut g, mut u, mut at) = (0usize, 0usize, 0usize);
+        while at < groups.len() {
+            let (elem, len) = (groups[at] as usize, groups[at + 1] as usize);
+            let end = at + 2 + len;
+            let rec = &mut self.records[elem];
+            // Only the latest list of an element is its record's.
+            if rec.groups.0 as usize == at + 2 {
+                if rec.generation >= self.floor {
+                    groups.copy_within(at..end, g);
+                    rec.groups = ((g + 2) as u32, (g + 2 + len) as u32);
+                    g += 2 + len;
+                    let uses = rec.root_uses.0 as usize..rec.root_uses.1 as usize;
+                    let n = uses.len();
+                    root_uses.copy_within(uses, u);
+                    rec.root_uses = (u as u32, (u + n) as u32);
+                    u += n;
+                } else {
+                    *rec = ConeRecord::default();
+                }
+            }
+            at = end;
+        }
+        groups.truncate(g);
+        root_uses.truncate(u);
+        self.compacted_len = g + u;
+    }
+}
+
 /// Output order of a compiled option: fixed, or inherited from the first
 /// child's natural order (order-preserving operators like Filter).
 #[derive(Clone, Debug)]
@@ -208,6 +434,10 @@ pub struct EngineArenas {
     pub(crate) natural_order: Vec<SortOrder>,
     /// Flat state index → dense group index.
     pub(crate) group_of_state: Vec<u32>,
+    /// Per dense group: whether an option of the root reads one of its
+    /// states (the cone groups whose overlay `use` a replay feeds back
+    /// into the root re-solve).
+    root_child: Vec<bool>,
     /// Per-universe-element standalone materialization cost under `S = ∅`:
     /// cheapest compute of the element's group plus its write cost. Free at
     /// compile time (the ∅ solve already runs for natural-order
@@ -251,16 +481,21 @@ pub struct BestCostEngine {
     /// state's scratch value is live iff its stamp equals the current
     /// epoch).
     scratch: EngineScratch,
-    /// Pooled per-worker scratches for sharded batches, reused across
-    /// rounds (grown on demand, counters folded into `scratch` and reset
-    /// after each round). Stale overlay stamps are harmless across rounds:
-    /// each scratch's epoch only grows (the wrap path clears the stamps),
-    /// so a stale stamp never equals a later evaluation's epoch.
-    worker_scratches: Vec<EngineScratch>,
+    /// Pooled per-worker scratches for sharded batches, each with the log
+    /// its overlays record their cones into, reused across rounds (grown
+    /// on demand, counters folded into `scratch` and reset after each
+    /// round, logs merged into the replay table). Stale overlay stamps are
+    /// harmless across rounds: each scratch's epoch only grows (the wrap
+    /// path clears the stamps), so a stale stamp never equals a later
+    /// evaluation's epoch.
+    worker_scratches: Vec<(EngineScratch, ConeLog)>,
     /// Pooled buffer for the per-round shared-intersection base of
     /// [`Self::bc_many`], reused across rounds instead of cloning the
     /// first candidate every round.
     shared_buf: BitSet,
+    /// Cone records of earlier distance-1 overlays, for cross-round
+    /// replay.
+    replay: ReplayTable,
     /// Evaluation strategy knobs.
     pub config: MqoConfig,
 }
@@ -305,6 +540,7 @@ impl BestCostEngine {
             scratch: EngineScratch::new(n_states, n_groups),
             worker_scratches: Vec::new(),
             shared_buf: BitSet::empty(u),
+            replay: ReplayTable::default(),
             config,
             arenas,
         }
@@ -554,6 +790,13 @@ impl EngineArenas {
         }
 
         let root = topo.dense(root);
+        let mut root_child = vec![false; n];
+        let root_states = state_off[root as usize] as usize..state_off[root as usize + 1] as usize;
+        for o in opt_off[root_states.start] as usize..opt_off[root_states.end] as usize {
+            for &c in &opt_children[child_off[o] as usize..child_off[o + 1] as usize] {
+                root_child[group_of_state[c as usize] as usize] = true;
+            }
+        }
         let state_order: Vec<SortOrder> = orders.iter().flatten().cloned().collect();
         let rows: Vec<f64> = topo.order().iter().map(|&g| memo.props(g).rows).collect();
         let mut arenas = EngineArenas {
@@ -576,6 +819,7 @@ impl EngineArenas {
             state_order,
             natural_order: Vec::new(),
             group_of_state,
+            root_child,
             mat_cost: Vec::new(),
             rows,
             empty_compute: Vec::new(),
@@ -839,14 +1083,26 @@ impl EngineArenas {
 
 impl BestCostEngine {
     /// `(full, incremental)` evaluation counts. Batched candidates evaluated
-    /// through [`Self::bc_many`] count as incremental; the per-batch rebase
-    /// counts as one full evaluation. Sharded batches fold each worker's
-    /// counts back into these totals.
+    /// through [`Self::bc_many`] count as incremental, and so do replayed
+    /// ones ([`Self::replayed_evals`]); the per-batch rebase counts as one
+    /// full evaluation. Sharded batches fold each worker's counts back
+    /// into these totals.
     pub fn eval_counts(&self) -> (u64, u64) {
         (self.scratch.full_evals, self.scratch.incremental_evals)
     }
 
-    /// `bc(∅)`'s dense state is the committed base right after construction.
+    /// Incremental evaluations answered by cross-round replay of a cone
+    /// record rather than an overlay re-solve (part of the incremental
+    /// count of [`Self::eval_counts`]).
+    pub fn replayed_evals(&self) -> u64 {
+        self.replay.replays
+    }
+
+    /// `bc(set)` for one set. A set within `rebase_threshold` elements of
+    /// the committed base is answered from the base (the base value, a
+    /// replayed cone record, or an overlay) and leaves the base where it
+    /// is; a farther set is first committed as the new base by a full
+    /// solve, so the base drifts with the caller's query sequence.
     pub fn bc(&mut self, set: &BitSet) -> f64 {
         // Chaos-test site: fires on the calling thread at oracle entry, so
         // an injected "oracle blows up" reproduces identically at every
@@ -859,8 +1115,9 @@ impl BestCostEngine {
         v
     }
 
-    /// One serial evaluation: ablation, base, overlay, or — past the rebase
-    /// threshold — a committed full solve (the base drifts with the query).
+    /// One serial evaluation: ablation, base, replay, overlay, or — past
+    /// the rebase threshold — a committed full solve (the base drifts
+    /// with the query).
     fn bc_one(&mut self, scratch: &mut EngineScratch, set: &BitSet) -> f64 {
         if self.config.force_full {
             scratch.full_evals += 1;
@@ -881,17 +1138,113 @@ impl BestCostEngine {
             self.rebase_with(scratch, set);
             return self.base_total;
         }
-        self.load_diff(scratch, set);
+        let mut replay = std::mem::take(&mut self.replay);
+        let v = match self.try_replay(&mut replay, scratch, set) {
+            Some(v) => v,
+            None => {
+                self.load_diff(scratch, set);
+                scratch.incremental_evals += 1;
+                let v = self.overlay_eval_with(scratch, set, replay.log());
+                replay.apply();
+                v
+            }
+        };
+        self.replay = replay;
+        v
+    }
+
+    /// The caller-thread half of cross-round replay. For a set one
+    /// element off the committed base it allocates the record table on
+    /// first use, then answers the set from that element's record if no
+    /// commit has touched the record's cone since. `None` sends the set
+    /// to the overlay path, which records its cone.
+    fn try_replay(
+        &self,
+        replay: &mut ReplayTable,
+        scratch: &mut EngineScratch,
+        set: &BitSet,
+    ) -> Option<f64> {
+        // A zero threshold answers every non-base set by a full solve;
+        // a shareable root would add a membership term the replay does
+        // not re-solve.
+        if self.config.rebase_threshold == 0 || self.elem_of_dense[self.root as usize] != u32::MAX {
+            return None;
+        }
+        let mut diff = set.symmetric_difference_iter(&self.base_set);
+        let (Some(e), None) = (diff.next(), diff.next()) else {
+            return None;
+        };
+        if !replay.is_allocated() {
+            replay.allocate(self.universe_size(), self.topo.len());
+        }
+        let rec = replay.live(e)?;
+        let v = self.replay_record(scratch, rec, replay.log.root_uses(rec));
+        replay.replays += 1;
         scratch.incremental_evals += 1;
-        self.overlay_eval_with(scratch, set)
+        Some(v)
+    }
+
+    /// Answers the candidate `base △ {e}` from `e`'s live cone record:
+    /// the recorded `Δ` plus a re-solve of the root alone.
+    ///
+    /// Why this is bit-identical to the overlay it replaces:
+    ///
+    /// - The overlay's cone reads three kinds of value: its groups' own
+    ///   base values, its members' membership bits, and its children's
+    ///   base `use`. None of them lies in a group a commit has popped
+    ///   since the record was made (`live` checks every cone group's
+    ///   commit stamp; a full-solve rebase drops every record).
+    /// - A child outside the cone whose base `use` changed pushed its
+    ///   parents into that commit's cone, so those parents carry a later
+    ///   stamp; a membership flip is a commit's seed, so its group does
+    ///   too. Identical inputs give identical values, identical `changed`
+    ///   flags and hence the identical cone, popped in the identical
+    ///   order.
+    /// - The root is the one group that reads values from outside the
+    ///   cone (its other children's current base `use`), so it is
+    ///   re-solved here over the current `base_use`, with the recorded
+    ///   overlay `use` of its in-cone children overriding. The root is
+    ///   never shareable, so it adds nothing to `Δ` inside the loop: the
+    ///   recorded `Δ` is the loop's sum, and the answer repeats the
+    ///   overlay's final arithmetic in the overlay's order.
+    fn replay_record(
+        &self,
+        scratch: &mut EngineScratch,
+        rec: &ConeRecord,
+        root_uses: &[(u32, f64)],
+    ) -> f64 {
+        if !rec.reached_root {
+            return self.base_total + rec.delta;
+        }
+        let epoch = scratch.advance_epoch();
+        for &(s, u) in root_uses {
+            scratch.use_[s as usize] = u;
+            scratch.state_epoch[s as usize] = epoch;
+        }
+        let (use_, stamp) = (&scratch.use_, &scratch.state_epoch);
+        let root_s = self.state_off[self.root as usize] as usize;
+        let root = self.best_option(root_s, |c| {
+            if stamp[c] == epoch {
+                use_[c]
+            } else {
+                self.base_use[c]
+            }
+        });
+        self.base_total + (rec.delta + (root - self.base_compute[root_s]))
     }
 
     /// One evaluation against the committed base **without mutating it** —
     /// the sharded path, where the base is shared immutably across worker
     /// threads. A candidate past the rebase threshold is answered by a
     /// full (uncommitted) solve into the worker's scratch: same value as
-    /// the serial threshold-rebase, different bookkeeping.
-    fn bc_from_base(&self, scratch: &mut EngineScratch, set: &BitSet) -> f64 {
+    /// the serial threshold-rebase, different bookkeeping. With a `log`,
+    /// a distance-1 overlay records its cone into it.
+    fn bc_from_base(
+        &self,
+        scratch: &mut EngineScratch,
+        set: &BitSet,
+        log: Option<&mut ConeLog>,
+    ) -> f64 {
         let threshold = self.config.rebase_threshold;
         let dist = set.symmetric_difference_len_capped(&self.base_set, threshold);
         if dist == 0 {
@@ -904,7 +1257,7 @@ impl BestCostEngine {
         }
         self.load_diff(scratch, set);
         scratch.incremental_evals += 1;
-        self.overlay_eval_with(scratch, set)
+        self.overlay_eval_with(scratch, set, log)
     }
 
     /// Evaluates `bc` on every set of a batch — a greedy round's candidates
@@ -912,17 +1265,19 @@ impl BestCostEngine {
     /// intersection of the batch once (one full solve), then every
     /// candidate takes the normal incremental path. For round-shaped
     /// batches (`X ∪ {x}` per candidate) every diff is a single element, so
-    /// each answer is a minimal overlay.
+    /// each answer is a replayed cone record or a minimal overlay.
     ///
-    /// With [`MqoConfig::threads`] > 1 the candidates are sharded over
-    /// `std::thread::scope` workers, each with its own `EngineScratch`
-    /// over the shared immutable arenas; every candidate is evaluated from
-    /// the same committed base. The serial mode runs the identical
-    /// per-candidate code against the engine's own scratch (a candidate
-    /// past the rebase threshold full-solves into the scratch without
-    /// committing, so the base never drifts mid-batch), which is what
-    /// makes every thread count return **bit-identical** values — only
-    /// the work distribution differs. (The single-set [`Self::bc`] entry
+    /// Replays resolve on the calling thread first, against the records
+    /// of earlier batches only. With [`MqoConfig::threads`] > 1 the
+    /// remaining candidates are sharded over `std::thread::scope` workers,
+    /// each with its own `EngineScratch` over the shared immutable arenas;
+    /// every candidate is evaluated from the same committed base. The
+    /// serial mode runs the identical per-candidate code against the
+    /// engine's own scratch (a candidate past the rebase threshold
+    /// full-solves into the scratch without committing, so the base never
+    /// drifts mid-batch), which is what makes every thread count return
+    /// **bit-identical** values and the same replay counts — only the
+    /// work distribution differs. (The single-set [`Self::bc`] entry
     /// point still commits a rebase on far sets and drifts with its
     /// caller's query sequence.)
     pub fn bc_many(&mut self, sets: &[BitSet]) -> Vec<f64> {
@@ -956,7 +1311,17 @@ impl BestCostEngine {
             self.rebase(&shared);
         }
         self.shared_buf = shared;
-        let workers = self.config.effective_threads(sets.len());
+        let mut out = vec![0.0f64; sets.len()];
+        let mut misses: Vec<usize> = Vec::with_capacity(sets.len());
+        let mut replay = std::mem::take(&mut self.replay);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for (i, s) in sets.iter().enumerate() {
+            match self.try_replay(&mut replay, &mut scratch, s) {
+                Some(v) => out[i] = v,
+                None => misses.push(i),
+            }
+        }
+        let workers = self.config.effective_threads(misses.len());
         if workers <= 1 {
             // Same drift-free path as the sharded workers (a far candidate
             // full-solves into the scratch instead of committing a rebase):
@@ -964,54 +1329,71 @@ impl BestCostEngine {
             // from the identical committed base, so bit-identity across
             // thread counts holds by construction — including the
             // floating-point grouping of the overlay path's delta totals.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let out = sets
-                .iter()
-                .map(|s| self.bc_from_base(&mut scratch, s))
-                .collect();
-            self.scratch = scratch;
-            return out;
+            for &i in &misses {
+                out[i] = self.bc_from_base(&mut scratch, &sets[i], replay.log());
+                replay.apply();
+            }
         }
-        self.bc_many_sharded(&sets, workers)
+        self.scratch = scratch;
+        self.replay = replay;
+        if workers > 1 {
+            self.bc_many_sharded(&sets, &misses, &mut out, workers);
+        }
+        out
     }
 
-    /// The sharded fan-out of [`Self::bc_many`]: contiguous candidate
-    /// chunks, one scoped worker thread per chunk, one fresh scratch each,
-    /// all reading the same committed base. Results land in their original
-    /// slots, so the output order — like the values — is independent of
-    /// the thread count.
-    fn bc_many_sharded(&mut self, sets: &[Cow<BitSet>], workers: usize) -> Vec<f64> {
-        let chunk = sets.len().div_ceil(workers);
-        let mut out = vec![0.0f64; sets.len()];
+    /// The sharded fan-out of [`Self::bc_many`] over the candidates
+    /// `misses` that replay did not answer: contiguous chunks, one scoped
+    /// worker thread per chunk, one pooled scratch each, all reading the
+    /// same committed base. Results land in their original slots, so the
+    /// output order — like the values — is independent of the thread
+    /// count.
+    fn bc_many_sharded(
+        &mut self,
+        sets: &[Cow<BitSet>],
+        misses: &[usize],
+        out: &mut [f64],
+        workers: usize,
+    ) {
+        let chunk = misses.len().div_ceil(workers);
+        let mut vals = vec![0.0f64; misses.len()];
         // Grow the pooled worker scratches on demand and reuse them across
         // rounds — the sharded path allocates nothing at steady state,
         // matching the serial overlay path.
         while self.worker_scratches.len() < workers {
-            self.worker_scratches.push(self.new_scratch());
+            let scratch = self.new_scratch();
+            self.worker_scratches.push((scratch, ConeLog::default()));
         }
         let mut scratches = std::mem::take(&mut self.worker_scratches);
+        let record = self.replay.is_allocated();
         let shared: &BestCostEngine = self;
         std::thread::scope(|scope| {
-            for ((chunk_sets, chunk_out), scratch) in sets
+            for ((chunk_misses, chunk_vals), (scratch, log)) in misses
                 .chunks(chunk)
-                .zip(out.chunks_mut(chunk))
+                .zip(vals.chunks_mut(chunk))
                 .zip(scratches.iter_mut())
             {
                 scope.spawn(move || {
-                    for (s, slot) in chunk_sets.iter().zip(chunk_out.iter_mut()) {
-                        *slot = shared.bc_from_base(scratch, s);
+                    for (&i, slot) in chunk_misses.iter().zip(chunk_vals.iter_mut()) {
+                        let log = record.then_some(&mut *log);
+                        *slot = shared.bc_from_base(scratch, &sets[i], log);
                     }
                 });
             }
         });
-        for ws in &mut scratches {
+        for (&i, v) in misses.iter().zip(vals) {
+            out[i] = v;
+        }
+        // Chunks are contiguous runs of candidate order, so merging the
+        // workers' records in worker order merges them in candidate order.
+        for (ws, log) in &mut scratches {
             self.scratch.full_evals += ws.full_evals;
             self.scratch.incremental_evals += ws.incremental_evals;
             ws.full_evals = 0;
             ws.incremental_evals = 0;
+            self.replay.merge(log);
         }
         self.worker_scratches = scratches;
-        out
     }
 
     /// Commits `set` as the new base state.
@@ -1030,7 +1412,8 @@ impl BestCostEngine {
     /// every-round commit moves the base by exactly one element (the new
     /// pick), and a full bottom-up solve per round is the dominant fixed
     /// cost of large-universe selection. Past the threshold — or while the
-    /// base arenas are not yet solved — the full solve runs as before.
+    /// base arenas are not yet solved — the full solve runs as before and
+    /// drops every cone record.
     fn rebase_with(&mut self, scratch: &mut EngineScratch, set: &BitSet) {
         if self.base_compute.len() == self.n_states() {
             let cap = self.config.rebase_threshold;
@@ -1053,6 +1436,7 @@ impl BestCostEngine {
         self.base_use = use_;
         self.base_set = set.clone();
         self.base_total = self.total_from_slice(set, &self.base_compute);
+        self.replay.drop_all();
         scratch.invalidate();
     }
 
@@ -1065,9 +1449,11 @@ impl BestCostEngine {
     /// materialization flag are unchanged), so a full solve would
     /// recompute exactly the value it already holds; a state inside the
     /// cone applies the identical accumulation order over identical child
-    /// values.
+    /// values. Every popped group is stamped with the commit's generation,
+    /// which kills the cone records that contain it.
     fn commit_diff(&mut self, scratch: &mut EngineScratch, set: &BitSet) {
         let epoch = scratch.advance_epoch();
+        let stamp = self.replay.begin_commit();
         let mut compute = std::mem::take(&mut self.base_compute);
         let mut use_ = std::mem::take(&mut self.base_use);
         let EngineScratch {
@@ -1085,6 +1471,9 @@ impl BestCostEngine {
         }
         while let Some(Reverse(d)) = dirty.pop() {
             let du = d as usize;
+            if stamp != 0 {
+                self.replay.touched[du] = stamp;
+            }
             let s0 = self.state_off[du] as usize;
             let s1 = self.state_off[du + 1] as usize;
             let materialized = self.in_set(du, set);
@@ -1151,7 +1540,15 @@ impl BestCostEngine {
     /// a from-scratch full solve's flat sum by design (the differential
     /// suites pin overlay ≡ full to 1e-9 relative, and serial ≡ sharded
     /// bitwise).
-    fn overlay_eval_with(&self, scratch: &mut EngineScratch, set: &BitSet) -> f64 {
+    ///
+    /// With a `log`, a distance-1 overlay also records its cone into it
+    /// for [`Self::replay_record`].
+    fn overlay_eval_with(
+        &self,
+        scratch: &mut EngineScratch,
+        set: &BitSet,
+        log: Option<&mut ConeLog>,
+    ) -> f64 {
         let epoch = scratch.advance_epoch();
         let EngineScratch {
             compute: scratch_compute,
@@ -1163,6 +1560,12 @@ impl BestCostEngine {
             ..
         } = scratch;
 
+        let mut log = log.filter(|_| diff_buf.len() == 1);
+        if let Some(log) = &mut log {
+            // The list's header: its element, and its length once known.
+            log.groups.extend([diff_buf[0] as u32, 0]);
+        }
+        let g0 = log.as_ref().map_or(0, |log| log.groups.len());
         for &e in diff_buf.iter() {
             let d = self.universe_dense[e];
             if queued_epoch[d as usize] != epoch {
@@ -1176,6 +1579,11 @@ impl BestCostEngine {
         let mut delta = 0.0f64;
         while let Some(Reverse(d)) = dirty.pop() {
             let du = d as usize;
+            if let Some(log) = &mut log {
+                if d != self.root {
+                    log.groups.push(d);
+                }
+            }
             let s0 = self.state_off[du] as usize;
             let s1 = self.state_off[du + 1] as usize;
             let materialized = self.in_set(du, set);
@@ -1233,7 +1641,33 @@ impl BestCostEngine {
         // Root correction: the base total's leading term is the root
         // compute, which shifts only if the cone reached the root.
         let root_s = self.state_off[self.root as usize] as usize;
-        if state_epoch[root_s] == epoch {
+        let reached_root = state_epoch[root_s] == epoch;
+        if let Some(ConeLog {
+            made,
+            groups,
+            root_uses,
+        }) = log
+        {
+            groups[g0 - 1] = (groups.len() - g0) as u32;
+            let u0 = root_uses.len();
+            if reached_root {
+                for &g in &groups[g0..] {
+                    if self.root_child[g as usize] {
+                        let states = self.state_off[g as usize]..self.state_off[g as usize + 1];
+                        root_uses.extend(states.map(|s| (s, scratch_use[s as usize])));
+                    }
+                }
+            }
+            let rec = ConeRecord {
+                generation: 0,
+                delta,
+                reached_root,
+                groups: (g0 as u32, groups.len() as u32),
+                root_uses: (u0 as u32, root_uses.len() as u32),
+            };
+            made.push((diff_buf[0] as u32, rec));
+        }
+        if reached_root {
             delta += scratch_compute[root_s] - self.base_compute[root_s];
         }
         self.base_total + delta
@@ -1923,7 +2357,7 @@ mod tests {
                 let bit = ((state >> (8 * e)) as usize) % n;
                 set.insert(bit);
             }
-            let a = engine.bc_from_base(&mut scratch, &set);
+            let a = engine.bc_from_base(&mut scratch, &set, None);
             let b = full.bc(&set);
             assert!(
                 (a - b).abs() < 1e-9 * (1.0 + b.abs()),

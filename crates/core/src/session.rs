@@ -41,7 +41,7 @@ use crate::config::MqoConfig;
 use crate::engine::EngineState;
 use crate::error::{MqoError, PlanValidator};
 use crate::serve::{MqoService, ServeConfig};
-use crate::strategies::{run_strategy, RunReport, Strategy};
+use crate::strategies::{RunReport, Strategy};
 
 /// Entry point of the MQO pipeline; see the module docs.
 pub struct Session;
@@ -236,8 +236,20 @@ impl OptimizedBatch {
 
     /// Optimizes the batch with one strategy under the session's
     /// configuration.
+    ///
+    /// # Panics
+    ///
+    /// If [`OptimizedBatch::try_run`] fails: [`Strategy::Exhaustive`] on
+    /// more than [`EXHAUSTIVE_LIMIT`](crate::strategies::EXHAUSTIVE_LIMIT) shareable nodes.
     pub fn run(&self, strategy: Strategy) -> RunReport {
-        run_strategy(&self.snapshot(), strategy, self.config)
+        self.run_with(strategy, self.config)
+    }
+
+    /// Fallible [`OptimizedBatch::run`]: a strategy the batch is too large
+    /// for ([`Strategy::Exhaustive`] past [`EXHAUSTIVE_LIMIT`](crate::strategies::EXHAUSTIVE_LIMIT) shareable
+    /// nodes) is reported as [`MqoError::ResourceLimit`].
+    pub fn try_run(&self, strategy: Strategy) -> Result<RunReport, MqoError> {
+        self.try_run_with(strategy, self.config)
     }
 
     /// Optimizes the batch with several strategies. Each strategy gets a
@@ -253,8 +265,23 @@ impl OptimizedBatch {
     /// [`OptimizedBatch::run`] under a one-off configuration override
     /// (ablations sweeping rebase thresholds or thread counts). The
     /// session's own configuration is untouched.
+    ///
+    /// # Panics
+    ///
+    /// If [`OptimizedBatch::try_run_with`] fails.
     pub fn run_with(&self, strategy: Strategy, config: MqoConfig) -> RunReport {
-        run_strategy(&self.snapshot(), strategy, config)
+        self.try_run_with(strategy, config)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`OptimizedBatch::run_with`]; see
+    /// [`OptimizedBatch::try_run`].
+    pub fn try_run_with(
+        &self,
+        strategy: Strategy,
+        config: MqoConfig,
+    ) -> Result<RunReport, MqoError> {
+        self.snapshot().try_run(strategy, config)
     }
 
     /// The expanded combined DAG (memo, roots, shareable universe,

@@ -25,6 +25,7 @@ use crate::benefit::MbFunction;
 use crate::config::{DecompositionKind, MqoConfig};
 use crate::consolidated::ConsolidatedPlan;
 use crate::engine::EngineState;
+use crate::error::MqoError;
 
 /// The optimization strategies of the experimental section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,9 +56,15 @@ pub enum Strategy {
     /// Exhaustive search over all 2^n materialization sets — the ground
     /// truth the paper calls untenable in general (O(n^n) with plan
     /// enumeration; 2^n bc calls here thanks to the bc oracle). Only
-    /// usable on small universes; `run` panics above 20 shareable nodes.
+    /// usable on small universes: above [`EXHAUSTIVE_LIMIT`] shareable
+    /// nodes `try_run` reports [`MqoError::ResourceLimit`] and `run`
+    /// panics.
     Exhaustive,
 }
+
+/// The largest shareable universe [`Strategy::Exhaustive`] accepts (it
+/// evaluates all `2^n` subsets).
+pub const EXHAUSTIVE_LIMIT: usize = 20;
 
 impl Strategy {
     /// Display name used in reports and tables.
@@ -132,6 +139,10 @@ pub struct RunReport {
     pub extract_time: Duration,
     /// Number of `bc` oracle invocations.
     pub bc_calls: u64,
+    /// How many of the oracle's evaluations were answered by replaying a
+    /// cone record of an earlier round rather than by an overlay re-solve
+    /// ([`crate::engine::BestCostEngine::replayed_evals`]).
+    pub bc_replays: u64,
     /// Shareable-universe size.
     pub universe: usize,
     /// Candidate-universe size the strategy actually ranked, after the
@@ -194,8 +205,27 @@ impl EngineState {
     /// can `run` concurrently against the same snapshot, each through its
     /// own per-caller engine handle, without blocking a writer evolving
     /// the batch this snapshot came from.
+    ///
+    /// # Panics
+    ///
+    /// If [`Self::try_run`] fails: [`Strategy::Exhaustive`] on more than
+    /// [`EXHAUSTIVE_LIMIT`] shareable nodes.
     pub fn run(&self, strategy: Strategy, config: MqoConfig) -> RunReport {
-        run_strategy(self, strategy, config)
+        self.try_run(strategy, config)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::run`]: [`Strategy::Exhaustive`] on a universe
+    /// larger than [`EXHAUSTIVE_LIMIT`] is refused up front as
+    /// [`MqoError::ResourceLimit`], before any oracle work.
+    pub fn try_run(&self, strategy: Strategy, config: MqoConfig) -> Result<RunReport, MqoError> {
+        if strategy == Strategy::Exhaustive && self.universe_size() > EXHAUSTIVE_LIMIT {
+            return Err(MqoError::ResourceLimit {
+                what: "exhaustive shareable nodes",
+                limit: EXHAUSTIVE_LIMIT,
+            });
+        }
+        Ok(run_strategy(self, strategy, config))
     }
 }
 
@@ -206,12 +236,9 @@ impl EngineState {
 /// through the batched oracle, so `config.threads > 1` shards their
 /// evaluation with no change in the chosen set or costs. The per-run
 /// engine handle spins up from the snapshot's shared arenas (no
-/// recompilation).
-pub(crate) fn run_strategy(
-    state: &EngineState,
-    strategy: Strategy,
-    config: MqoConfig,
-) -> RunReport {
+/// recompilation). [`EngineState::try_run`] has checked the strategy
+/// against the universe size.
+fn run_strategy(state: &EngineState, strategy: Strategy, config: MqoConfig) -> RunReport {
     // mqo-lint: allow(wall-clock) -- the anytime-budget anchor (`deadline = start + time_budget`) and the paper's opt_time metric
     let start = Instant::now();
     let engine = state.engine(config);
@@ -276,10 +303,7 @@ pub(crate) fn run_strategy(
             mqo_submod::algorithms::cleanup::cleanup(&mb, &out.set).set
         }
         Strategy::Exhaustive => {
-            assert!(
-                n <= 20,
-                "exhaustive MQO is limited to 20 shareable nodes (got {n})"
-            );
+            debug_assert!(n <= EXHAUSTIVE_LIMIT, "checked by try_run");
             mqo_submod::algorithms::exhaustive::exhaustive_max(&mb, &full).0
         }
     };
@@ -308,6 +332,7 @@ pub(crate) fn run_strategy(
     // mqo-lint: allow(wall-clock) -- measures the reported extract_time metric; never feeds back into optimization
     let extract_start = Instant::now();
     let engine = mb.into_engine();
+    let bc_replays = engine.replayed_evals();
     let plan = ConsolidatedPlan::extract_with_engine(state.query_roots_dense(), &engine, &chosen);
     let extract_time = extract_start.elapsed();
 
@@ -322,6 +347,7 @@ pub(crate) fn run_strategy(
         opt_time,
         extract_time,
         bc_calls,
+        bc_replays,
         universe: n,
         candidates,
         gap_certificate,
@@ -474,5 +500,46 @@ mod tests {
             reduce_universe: true,
         });
         assert_eq!(r.materialized, pruned.materialized, "Theorem 4");
+    }
+
+    /// BQ4's universe is past the exhaustive limit: the fallible surface
+    /// reports it as a typed error before any oracle work, the panicking
+    /// shim panics with the same text, and other strategies still run.
+    #[test]
+    fn exhaustive_past_the_limit_is_a_typed_error() {
+        let w = mqo_tpcd::batched(4, 1.0);
+        let batch = Session::builder()
+            .context(w.ctx)
+            .queries(w.queries)
+            .cost_model(DiskCostModel::paper())
+            .build();
+        assert!(batch.universe_size() > EXHAUSTIVE_LIMIT);
+        let expect = MqoError::ResourceLimit {
+            what: "exhaustive shareable nodes",
+            limit: EXHAUSTIVE_LIMIT,
+        };
+        assert_eq!(batch.try_run(Strategy::Exhaustive).unwrap_err(), expect);
+        assert_eq!(
+            batch
+                .try_run_with(Strategy::Exhaustive, MqoConfig::serial())
+                .unwrap_err(),
+            expect
+        );
+        assert_eq!(
+            batch
+                .snapshot()
+                .try_run(Strategy::Exhaustive, MqoConfig::serial())
+                .unwrap_err(),
+            expect
+        );
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            batch.run(Strategy::Exhaustive)
+        }))
+        .expect_err("run must panic past the limit");
+        let msg = panic
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert_eq!(*msg, expect.to_string());
+        assert!(batch.try_run(Strategy::MarginalGreedy).is_ok());
     }
 }

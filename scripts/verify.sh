@@ -31,7 +31,8 @@
 # serving layer) throughput baselines (all carrying per-series `threads`
 # fields) to BENCH_*.json at the repo root. Any BENCH_*.json baseline
 # missing a `threads` field fails the run, as does a missing
-# BENCH_scale.json, one without the scale-10k tier, a
+# BENCH_scale.json, one without the scale-10k tier or with a scale-10k
+# entry lacking bc_replays, a
 # BENCH_memo_expand.json without the scale-10k entry or its candidates
 # field, a missing BENCH_serve.json, or a BENCH_serve.json without the
 # degraded_round series and its certified_gap field.
@@ -66,6 +67,13 @@ check_bench_baselines() {
     fi
     if ! grep -q '"scale-10k"' BENCH_scale.json; then
         echo "ERROR: BENCH_scale.json is missing the scale-10k tier" >&2
+        exit 1
+    fi
+    # Every scale-10k entry must record how many of its oracle calls
+    # cross-round cone replay answered, next to `bc_calls`, so the
+    # selection timings there can be read against the replay rate.
+    if grep '"tier": "scale-10k"' BENCH_scale.json | grep -vq '"bc_replays"'; then
+        echo "ERROR: a BENCH_scale.json scale-10k entry is missing the bc_replays field" >&2
         exit 1
     fi
     # The memo_expand baseline backs the expansion-pruning numbers in the
